@@ -9,6 +9,7 @@ from .errors import (
     CertificateFailure,
     DegenerateGeometryError,
     DimensionMismatch,
+    InvariantError,
     MixedRadicalError,
     NotInHeartError,
     PreconditionError,

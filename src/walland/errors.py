@@ -37,6 +37,10 @@ class DegenerateGeometryError(PreconditionError):
     """Tangent / empty / vertical intersection where a secant is required."""
 
 
+class InvariantError(WallandError):
+    """An internal consistency check failed: a defect, not a bad input."""
+
+
 class CertificateFailure(WallandError):
     """Neither branch inequality of a vanishing certificate holds.
 

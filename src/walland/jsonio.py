@@ -42,10 +42,5 @@ def quad_from_json(d: dict) -> QuadNum:
         raise SchemaError(f"bad quadratic-number record: {d!r}") from exc
 
 
-def point_to_json(xy) -> dict:
-    """Coordinate pair with rational or quadratic entries."""
-    return {"x": quad_to_json(xy[0]), "y": quad_to_json(xy[1])}
-
-
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
 
-from .errors import DegenerateGeometryError, MixedRadicalError, PreconditionError
+from .errors import MixedRadicalError, PreconditionError
 
 Rat = Union[int, Fraction]
 
@@ -190,6 +190,14 @@ class QuadNum:
 
     __hash__ = None  # mutable-free but not canonically normalized across radicands
 
+    def __floor__(self) -> int:
+        # self = (A +- sqrt(T)) / D in integers, so isqrt(T) decides the floor
+        t = self.b * self.b * self.d
+        D = self.a.denominator * t.denominator
+        A, T = int(self.a * D), t.numerator * D * D // t.denominator
+        r = isqrt(T)
+        return (A + r) // D if self.b > 0 else (A - r - (r * r != T)) // D
+
     # -- display ------------------------------------------------------------
 
     def approx(self) -> float:
@@ -214,7 +222,7 @@ def _canonical_int_triple(c0: Fraction, c1: Fraction, c2: Fraction):
     lcm = 1
     for f in (c0, c1, c2):
         lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    a = [int(f * lcm) for f in (c0, c1, c2)]
+    a = [f.numerator * (lcm // f.denominator) for f in (c0, c1, c2)]
     g = gcd(gcd(abs(a[0]), abs(a[1])), abs(a[2]))
     if g == 0:
         raise PreconditionError("zero homogeneous triple")
@@ -457,16 +465,25 @@ def segments_intersect(s1, s2) -> bool:
 
 
 def rational_strictly_between(lo, hi) -> Fraction:
-    """Some rational r with lo < r < hi; endpoints may be QuadNum."""
+    """The simplest rational (least denominator) strictly between lo and hi.
+
+    Endpoints may be QuadNum; the continued fraction they share is closed
+    by the least integer between them.
+    """
     if sign_of(hi - lo) <= 0:
         raise PreconditionError("empty open interval")
-    lo_f = lo.approx() if isinstance(lo, QuadNum) else float(lo)
-    hi_f = hi.approx() if isinstance(hi, QuadNum) else float(hi)
-    denom = 2
-    while True:
-        mid = Fraction(round((lo_f + hi_f) / 2 * denom), denom)
-        if sign_of(mid - lo) > 0 and sign_of(hi - mid) > 0:
-            return mid
-        denom *= 2
-        if denom > 2 ** 80:
-            raise DegenerateGeometryError("interval too thin to separate")
+    lo, hi = (x if isinstance(x, QuadNum) else _frac(x) for x in (lo, hi))
+    if sign_of(hi) <= 0:
+        return -rational_strictly_between(-hi, -lo)
+    if sign_of(lo) < 0:
+        return Fraction(0)
+    terms = []  # below, 0 <= lo < hi, and hi None stands for infinity
+    n = math.floor(lo)
+    while hi is not None and sign_of(hi - (n + 1)) <= 0:
+        terms.append(n)
+        lo, hi = 1 / (hi - n), (None if sign_of(lo - n) == 0 else 1 / (lo - n))
+        n = math.floor(lo)
+    r = Fraction(n + 1)
+    for t in reversed(terms):
+        r = t + 1 / r
+    return r

@@ -147,8 +147,15 @@ def theta_compare(r1, r2) -> int:
 
 
 def theta_approx(ray) -> float:
-    x = ray[0].approx() if hasattr(ray[0], "approx") else float(ray[0])
-    y = ray[1].approx() if hasattr(ray[1], "approx") else float(ray[1])
+    """Display value of angle/pi; components beyond float range are
+    first scaled down together by a power of two."""
+    try:
+        x = ray[0].approx() if hasattr(ray[0], "approx") else float(ray[0])
+        y = ray[1].approx() if hasattr(ray[1], "approx") else float(ray[1])
+    except OverflowError:
+        x, y = (math.floor(c * 2**64) for c in ray)  # exact, to 2^-64
+        e = 2 ** max(abs(x).bit_length(), abs(y).bit_length())
+        x, y = x / e, y / e
     return math.atan2(y, x) / math.pi
 
 
@@ -263,8 +270,7 @@ def phase(P: StabPoint, v: VTilde) -> PhaseValue:
         raise NotInHeartError(
             f"charge ({z.re}, {z.im}) below the heart half plane at ({P.s}, {P.q})"
         )
-    ray = z.ray()
-    return PhaseValue(ray, math.atan2(float(z.im), float(z.re)) / math.pi)
+    return PhaseValue(z.ray(), theta_approx((z.re, z.im)))
 
 
 def phase_compare(P: StabPoint, v: VTilde, w: VTilde) -> int:

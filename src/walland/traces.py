@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import DimensionMismatch, PreconditionError
+from .errors import DimensionMismatch, InvariantError, PreconditionError
 
 
 def _frac(x) -> Fraction:
@@ -475,7 +475,8 @@ def cohomology(source: MatrixComplex, target: MatrixComplex, degree: int) -> Coh
             rows = trial
             reps.append(_unflatten(source, target, degree, layout, vec))
     group_dim = ker_dim - im_dim
-    assert len(reps) == group_dim
+    if len(reps) != group_dim:
+        raise InvariantError(f"degree {degree}: {len(reps)} representatives, dimension {group_dim}")
     return CohomologyGroup(
         degree, group_dim, ker_dim, im_dim, reps, cocycle_basis, coboundary_basis
     )

@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     ZeroChargeError,
 )
-from .jsonio import frac_str, quad_to_json
+from .jsonio import quad_to_json
 from .lattice import (
     CharVec,
     SurfaceLattice,
@@ -64,17 +64,9 @@ from .stability import (
 )
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _charge(s: Fraction, q: Fraction, x: VTilde):
     """Raw charge components at an arbitrary parameter pair."""
     return (-x.v2 + q * x.v0, x.v1 - s * x.v0)
-
-
-def _ray_of(re: Fraction, im: Fraction):
-    return canonical_ray(re, im)
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +105,48 @@ def _line_eval(wall: PlaneLine, s: Fraction, q: Fraction) -> Fraction:
     return a + b * s + c * q
 
 
+def _ring(corners):
+    """Corners (s, q) as homogeneous integer triples (m, m*s, m*q), one m > 0."""
+    m = math.lcm(*(x.denominator for corner in corners for x in corner))
+    return tuple((m, int(s * m), int(q * m)) for s, q in corners)
+
+
+def _wall_clip(region, wall: PlaneLine):
+    """Meet of the wall line with the closed convex region.
+
+    Walks the region's edges in cyclic order, collecting the corners on
+    the line and the crossings of edges whose ends lie strictly on
+    opposite sides; a line meets a convex region in at most two of them.
+    Returns None, ("point", [(s, q)]) or ("span", [(s0, q0), (s1, q1)]).
+    """
+    a, b, c = wall.coeffs
+    ring = region.ring
+    f = [a * m + b * s + c * q for m, s, q in ring]
+    pts = []
+    for i, (m, s, q) in enumerate(ring):
+        fa, fb = f[i], f[i - 1]
+        if fa == 0:
+            p = (Fraction(s, m), Fraction(q, m))
+        elif fa * fb < 0:
+            _, s1, q1 = ring[i - 1]
+            d = (fa - fb) * m
+            p = (Fraction(fa * s1 - fb * s, d), Fraction(fa * q1 - fb * q, d))
+        else:
+            continue
+        if p not in pts:
+            pts.append(p)
+    if not pts:
+        return None
+    return ("point" if len(pts) == 1 else "span", pts)
+
+
 class SegmentRegion:
     """Closed segment between two stability parameters."""
 
     def __init__(self, P: StabPoint, Q: StabPoint):
         self.P = P
         self.Q = Q
+        self.ring = _ring(((P.s, P.q), (Q.s, Q.q)))
 
     def corners(self):
         return (self.P, self.Q)
@@ -126,38 +154,22 @@ class SegmentRegion:
     def q_bounds(self):
         return (min(self.P.q, self.Q.q), max(self.P.q, self.Q.q))
 
-    def point_at(self, t: Fraction):
-        return (
-            self.P.s + t * (self.Q.s - self.P.s),
-            self.P.q + t * (self.Q.q - self.P.q),
-        )
-
-    def wall_clip(self, wall: PlaneLine):
-        """Meet of the wall line with the segment.
-
-        Returns None, ("point", [(s, q)]) or ("span", [(s0,q0), (s1,q1)]).
-        """
-        f0 = _line_eval(wall, self.P.s, self.P.q)
-        f1 = _line_eval(wall, self.Q.s, self.Q.q)
-        if f0 == 0 and f1 == 0:
-            return ("span", [(self.P.s, self.P.q), (self.Q.s, self.Q.q)])
-        if f0 * f1 > 0:
-            return None
-        t = Fraction(f0, f0 - f1)
-        return ("point", [self.point_at(t)])
+    wall_clip = _wall_clip
 
 
 class BoxRegion:
     """Axis-aligned closed box strictly above the parabola."""
 
     def __init__(self, s_lo, s_hi, q_lo, q_hi):
-        self.s_lo, self.s_hi = _frac(s_lo), _frac(s_hi)
-        self.q_lo, self.q_hi = _frac(q_lo), _frac(q_hi)
+        self.s_lo, self.s_hi = Fraction(s_lo), Fraction(s_hi)
+        self.q_lo, self.q_hi = Fraction(q_lo), Fraction(q_hi)
         if self.s_lo > self.s_hi or self.q_lo > self.q_hi:
             raise PreconditionError("empty box region")
         # max of s^2/2 over [s_lo, s_hi] sits at a corner
         for s in (self.s_lo, self.s_hi):
             StabPoint.make(s, self.q_lo)
+        s0, s1, q0, q1 = self.s_lo, self.s_hi, self.q_lo, self.q_hi
+        self.ring = _ring(((s0, q0), (s0, q1), (s1, q1), (s1, q0)))  # cyclic
 
     def corners(self):
         return tuple(
@@ -169,55 +181,7 @@ class BoxRegion:
     def q_bounds(self):
         return (self.q_lo, self.q_hi)
 
-    def wall_clip(self, wall: PlaneLine):
-        a, b, c = (Fraction(x) for x in wall.coeffs)
-        if b == 0 and c == 0:
-            return None  # line at infinity misses the affine box
-        if c != 0:
-            base = (Fraction(0), Fraction(-a, c))
-        else:
-            base = (Fraction(-a, b), Fraction(0))
-        dvec = (c, -b)
-        lo, hi = None, None  # parameter interval along base + tau*dvec
-
-        def clamp(p0, d, lo_lim, hi_lim, lo, hi):
-            if d == 0:
-                if lo_lim <= p0 <= hi_lim:
-                    return lo, hi
-                return (Fraction(1), Fraction(0))  # empty marker
-            t0 = (lo_lim - p0) / d
-            t1 = (hi_lim - p0) / d
-            if t0 > t1:
-                t0, t1 = t1, t0
-            lo = t0 if lo is None or t0 > lo else lo
-            hi = t1 if hi is None or t1 < hi else hi
-            return lo, hi
-
-        lo, hi = clamp(base[0], dvec[0], self.s_lo, self.s_hi, lo, hi)
-        if lo is not None and hi is not None and lo > hi:
-            return None
-        lo, hi = clamp(base[1], dvec[1], self.q_lo, self.q_hi, lo, hi)
-        if lo is None or hi is None:
-            # wall parallel to both axes cannot happen; both unclamped means
-            # the line is constant in the box in each axis separately
-            return None
-        if lo > hi:
-            return None
-        p_lo = (base[0] + lo * dvec[0], base[1] + lo * dvec[1])
-        p_hi = (base[0] + hi * dvec[0], base[1] + hi * dvec[1])
-        if lo == hi:
-            return ("point", [p_lo])
-        return ("span", [p_lo, p_hi])
-
-
-def _region_re_envelope(region, v: VTilde) -> Fraction:
-    """Max of |Re Z(v)| over the region (linear, so corners suffice)."""
-    best = Fraction(0)
-    for c in region.corners():
-        re, _ = _charge(c.s, c.q, v)
-        if abs(re) > best:
-            best = abs(re)
-    return best
+    wall_clip = _wall_clip
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +255,11 @@ def _destab_exists(v: VTilde, w: VTilde, clip) -> bool:
     of the charge regardless of heart orientation.
     """
     kind, pts = clip
-    if kind == "point":
-        params = [Fraction(0)]
-        p0 = pts[0]
-        p1 = pts[0]
-    else:
-        p0, p1 = pts
-        params = _span_test_params(p0, p1, v, w)
-    for t in params:
-        s = p0[0] + t * (p1[0] - p0[0])
-        q = p0[1] + t * (p1[1] - p0[1])
+    if kind == "span":
+        (s0, q0), (s1, q1) = pts
+        params = _span_test_params(pts[0], pts[1], v, w)
+        pts = [(s0 + t * (s1 - s0), q0 + t * (q1 - q0)) for t in params]
+    for s, q in pts:
         ratio = _ratio_at(s, q, v, w)
         if ratio is not None and ratio != 0 and ratio * ratio < 1:
             return True
@@ -324,6 +283,35 @@ class CandidateWall:
         }
 
 
+def _pencil_ks(lo: int, hi: int, forms):
+    """Integers k in [lo, hi] whose wall meets the region, lazily.
+
+    forms holds per region corner an (A, B) with A + B*k a positive multiple
+    of det(v, w, corner).  The wall misses the closed convex region exactly
+    when all corners are strictly positive, or all strictly negative: two
+    intervals of k, which leave at most three ranges.
+    """
+    holes = []
+    for sgn in (1, -1):
+        a, b = lo, hi  # the k in [lo, hi] where every corner has sign sgn
+        for A, B in forms:
+            A, B = sgn * A, sgn * B
+            if B > 0:
+                a = max(a, math.floor(-A / B) + 1)  # A + B*k > 0
+            elif B < 0:
+                b = min(b, math.ceil(A / -B) - 1)
+            elif A <= 0:
+                break
+        else:
+            if a <= b:
+                holes.append((a, b))
+    start = lo
+    for a, b in sorted(holes):
+        yield from range(start, a)
+        start = b + 1
+    yield from range(start, hi + 1)
+
+
 def enumerate_candidate_walls(
     v: VTilde, region, rank_bound: int, c1_bound: int, L: SurfaceLattice
 ):
@@ -332,9 +320,12 @@ def enumerate_candidate_walls(
     Witness characters w = (r', c', e') run over |r'| <= rank_bound and
     |c' coords| <= c1_bound; e' is confined to the integrality grid inside
     an exact envelope (|Re Z(w)| cannot exceed |Re Z(v)| anywhere a ratio
-    in (-1, 1) is achieved), which keeps every search finite.  Kept are w
-    with discriminant(w) >= 0, discriminant(v - w) >= 0, the wall meeting
-    the region, and the ratio condition achieved somewhere on the meet.
+    in (-1, 1) is achieved) and the Bogomolov bounds on w and v - w, all
+    linear in the ch2 step k.  Walls of v form the pencil through v's plane
+    point and det(v, w, corner) is linear in k, so the k whose wall misses
+    the region are cut out in closed form by corner signs before any
+    witness is built.  Kept are the survivors whose ratio condition is
+    achieved somewhere on the meet.
     """
     bounds = EnumerationBounds(int(rank_bound), int(c1_bound))
     if v.is_zero:
@@ -344,18 +335,28 @@ def enumerate_candidate_walls(
     H2 = L.pair(H, H)
     DD = L.pair(D, D)
     q_lo, q_hi = region.q_bounds()
-    envelope = _region_re_envelope(region, v)
+    # max of |Re Z(v)| over the region: linear, so corners suffice
+    m = region.ring[0][0]
+    envelope = Fraction(max(abs(q * v.v0 - m * v.v2) for _, _, q in region.ring), m)
+    c1_terms = []
+    for coords in _iterproduct(
+        range(-bounds.c1_bound, bounds.c1_bound + 1), repeat=L.rank
+    ):
+        c = L.divisor(coords)
+        c1_terms.append((L.pair(H, c), L.pair(c, c) / 2 - L.pair(D, c)))
+    # det(v, w, corner) = w . (corner x v)
+    normals = [
+        (s * v.v2 - q * v.v1, q * v.v0 - m * v.v2, m * v.v1 - s * v.v0)
+        for m, s, q in region.ring
+    ]
     for r in range(-bounds.rank_bound, bounds.rank_bound + 1):
         w0 = H2 * r
         env_lo = min(q_lo * w0, q_hi * w0) - envelope
         env_hi = max(q_lo * w0, q_hi * w0) + envelope
-        for coords in _iterproduct(
-            range(-bounds.c1_bound, bounds.c1_bound + 1), repeat=L.rank
-        ):
-            c = L.divisor(coords)
-            w1 = L.pair(H, c)
+        r_base = r * DD / 2
+        for w1, c_base in c1_terms:
             # w2 = base + k over integers k: integrality of e' plus twist shift
-            base = L.pair(c, c) / 2 - L.pair(D, c) + Fraction(r) * DD / 2
+            base = c_base + r_base
             k_lo = env_lo - base
             k_hi = env_hi - base
             # Bogomolov constraints are linear in k once w0, u0 are fixed
@@ -368,20 +369,13 @@ def enumerate_candidate_walls(
                 k_lo = max(k_lo, v.v2 - base - u1 * u1 / (2 * u0))
             elif u0 < 0:
                 k_hi = min(k_hi, v.v2 - base - u1 * u1 / (2 * u0))
-            for k in range(math.ceil(k_lo), math.floor(k_hi) + 1):
+            forms = [(w0 * n0 + w1 * n1 + base * n2, n2) for n0, n1, n2 in normals]
+            for k in _pencil_ks(math.ceil(k_lo), math.floor(k_hi), forms):
                 w = VTilde(w0, w1, base + k)
-                if w.is_zero:
-                    continue
-                u = v - w
-                if u.is_zero or _proportional(v, w):
-                    continue
-                if discriminant(w) < 0 or discriminant(u) < 0:
+                if _proportional(v, w):  # also w = 0 and w = v
                     continue
                 wall = wall_of(v, w)
-                clip = region.wall_clip(wall)
-                if clip is None:
-                    continue
-                if not _destab_exists(v, w, clip):
+                if not _destab_exists(v, w, region.wall_clip(wall)):
                     continue
                 found.setdefault(wall.coeffs, {})[w.as_tuple()] = w
     out = []
@@ -486,7 +480,7 @@ def phase_bound_interval(P: StabPoint, Q: StabPoint, v: VTilde) -> PhaseInterval
             "chord line is tangent to or misses the parabola"
         )
     A, B = pts
-    anchor = LiftedPhase(0, _ray_of(*zP))
+    anchor = LiftedPhase(0, canonical_ray(*zP))
     lam_A = _endpoint_lift(A, P, Q, zP, anchor)
     lam_B = _endpoint_lift(B, P, Q, zP, anchor)
     degenerate = None
@@ -606,7 +600,7 @@ def simulate_destabilization_paths(
             return hit
         start = segment_point(P, Q, t0)
         z_end = _charge(Q.s, Q.q, char)
-        leaf = entry.transport(_ray_of(*z_end))
+        leaf = entry.transport(canonical_ray(*z_end))
         events = []
         for cand in enumerate_candidate_walls(
             char, SegmentRegion(start, Q), bounds.rank_bound, bounds.c1_bound, L
@@ -619,7 +613,7 @@ def simulate_destabilization_paths(
             t_star = t0 + t_local * (1 - t0)
             R = segment_point(P, Q, t_star)
             zR = _charge(R.s, R.q, char)
-            lift_R = entry.transport(_ray_of(*zR))
+            lift_R = entry.transport(canonical_ray(*zR))
             splits = []
             seen = set()
             for w in cand.witnesses:
@@ -633,8 +627,8 @@ def simulate_destabilization_paths(
                 seen.add(pair_key)
                 zw = _charge(R.s, R.q, w)
                 zu = (zR[0] - zw[0], zR[1] - zw[1])
-                w_node = build(w, t_star, LiftedPhase(lift_R.n, _ray_of(*zw)))
-                u_node = build(u, t_star, LiftedPhase(lift_R.n, _ray_of(*zu)))
+                w_node = build(w, t_star, LiftedPhase(lift_R.n, canonical_ray(*zw)))
+                u_node = build(u, t_star, LiftedPhase(lift_R.n, canonical_ray(*zu)))
                 splits.append(SplitPair(w, u, w_node, u_node))
             if splits:
                 events.append(PathEvent(t_star, R, cand.wall, splits))
@@ -643,7 +637,7 @@ def simulate_destabilization_paths(
         memo[key] = node
         return node
 
-    return build(v, Fraction(0), LiftedPhase(0, _ray_of(*z0)))
+    return build(v, Fraction(0), LiftedPhase(0, canonical_ray(*z0)))
 
 
 # ---------------------------------------------------------------------------
@@ -819,8 +813,8 @@ def _segments_branch(P, Q, v, vK, zP, zQK, R, data) -> Ext2Certificate:
     zRk = _charge(rs, rq, vK)
     if zRv == (0, 0) or zRk == (0, 0):
         _fail("a charge vanishes at the chord intersection", data)
-    lam_v = LiftedPhase(0, _ray_of(*zP)).transport(_ray_of(*zRv))
-    lam_k = LiftedPhase(0, _ray_of(*zQK)).transport(_ray_of(*zRk))
+    lam_v = LiftedPhase(0, canonical_ray(*zP)).transport(canonical_ray(*zRv))
+    lam_k = LiftedPhase(0, canonical_ray(*zQK)).transport(canonical_ray(*zRk))
     data = dict(data)
     data.update(
         {
@@ -836,7 +830,7 @@ def _segments_branch(P, Q, v, vK, zP, zQK, R, data) -> Ext2Certificate:
 
 def _dominance_branch(P, Q, v, vK, zQK, data) -> Ext2Certificate:
     interval = phase_bound_interval(P, Q, v)
-    lam_k = LiftedPhase(0, _ray_of(*zQK))
+    lam_k = LiftedPhase(0, canonical_ray(*zQK))
     data = dict(data)
     data.update(
         {

@@ -113,11 +113,13 @@ def test_criterion_2_phase_bound_property(p2_surface):
     rng = random.Random(1002)
     done = 0
     leaves_total = 0
+    timings = []  # (seconds, v, P, Q) per instance
     while done < 200:
         v = _integral_char(rng)
         P, Q = _random_point(rng), _random_point(rng)
         if central_charge(P, v).is_zero:
             continue
+        t1 = time.monotonic()
         try:
             itv = phase_bound_interval(P, Q, v)
         except (DegenerateGeometryError, PreconditionError):
@@ -126,10 +128,15 @@ def test_criterion_2_phase_bound_property(p2_surface):
         for char, lift in collect_leaves(root):
             assert itv.contains(lift), (v.as_tuple(), char.as_tuple())
             leaves_total += 1
+        timings.append((time.monotonic() - t1, v, P, Q))
         done += 1
     elapsed = time.monotonic() - t0
     assert leaves_total >= 200
-    assert elapsed < 300
+    slowest = "\n".join(
+        f"  v={v.to_list()} P=({P.s}, {P.q}) Q=({Q.s}, {Q.q}) {sec:.2f} s"
+        for sec, v, P, Q in sorted(timings, key=lambda x: x[0], reverse=True)[:5]
+    )
+    assert elapsed < 300, f"{elapsed:.2f} s; slowest instances:\n{slowest}"
 
 
 def test_criterion_3_wall_disjointness():

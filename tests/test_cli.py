@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,6 +57,20 @@ def test_charge_kernel_reports_null_phase(capsys):
     assert doc["Z"] == {"re": "0", "im": "0"}
     assert doc["phase_approx"] is None
     assert doc["phase"] is None
+
+
+def test_charge_huge_character_no_traceback():
+    # the display phase of a charge beyond float range must not crash
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "walland.cli", "charge", "--surface", P2,
+         "--char", "1,0,-1e400", "--s=0", "--q=1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode in (0, 2, 3, 4)
+    assert "Traceback" not in proc.stderr + proc.stdout
+    assert json.loads(proc.stdout)["phase_approx"] == 0.0
 
 
 def test_charge_boundary_point_exit_3(capsys):

@@ -1,5 +1,6 @@
 """Exact projective-plane geometry: points, lines, parabola, quadratic numbers."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -301,6 +302,32 @@ def test_line_intersection_and_between():
     assert QuadNum(2, -1, 6) < m < QuadNum(2, 1, 6)
     with pytest.raises(PreconditionError):
         rational_strictly_between(QuadNum(1), QuadNum(1))
+
+
+def test_rational_strictly_between_is_exact_and_simplest():
+    # both once failed through float midpoints: too thin, too large
+    assert rational_strictly_between(F(1, 10**30), F(2, 10**30)) == F(1, 5 * 10**29 + 1)
+    assert rational_strictly_between(10**400, 10**400 + 1) == 10**400 + F(1, 2)
+    half = rational_strictly_between(3, 4)
+    assert half == F(7, 2) and isinstance(half, Fraction)
+    assert rational_strictly_between(F(1, 10), F(2, 5)) == F(1, 3)
+    assert rational_strictly_between(F(-2, 5), F(-1, 10)) == F(-1, 3)
+    assert rational_strictly_between(F(-1), F(1)) == 0
+    assert rational_strictly_between(F(3), F(7, 2)) == F(10, 3)
+    assert rational_strictly_between(QuadNum(0, 1, 2), QuadNum(F(3, 2))) == F(10, 7)
+    r2 = QuadNum(0, 1, 2)
+    thin = rational_strictly_between(r2, r2 + F(1, 10**40))
+    assert r2 < thin < r2 + F(1, 10**40)
+    rng = random.Random(459)
+    for _ in range(200):
+        lo = QuadNum(rand_frac(rng), rand_frac(rng), rng.randint(0, 30))
+        hi = lo + F(rng.randint(1, 5), rng.randint(1, 10**rng.randint(1, 12)))
+        r = rational_strictly_between(lo, hi)
+        assert lo < r < hi
+        # no smaller denominator fits strictly between
+        for den in range(1, min(r.denominator, 40)):
+            num = math.floor(lo.approx() * den) - 1
+            assert not any(lo < F(n, den) < hi for n in range(num, num + 4))
 
 
 def test_orientation_xy_accepts_quadnum():

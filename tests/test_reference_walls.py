@@ -1,0 +1,162 @@
+"""Corner-sign wall enumeration against the generate-and-test reference.
+
+`reference_walls` keeps the enumeration that built, canonicalised and
+clipped every witness in the Bogomolov/envelope range.  The production
+enumeration prunes the ch2 range by corner signs first; both must return
+the same candidate walls and witnesses, and both clips the same meet.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import reference_walls as ref
+from walland import (
+    BoxRegion,
+    PlaneLine,
+    SegmentRegion,
+    StabPoint,
+    VTilde,
+    discriminant,
+    enumerate_candidate_walls,
+    line_through,
+)
+
+V = VTilde.make
+SP = StabPoint.make
+
+
+def _regions(kind, *args):
+    if kind == "segment":
+        P, Q = (SP(*a) for a in args)
+        return SegmentRegion(P, Q), ref.SegmentRegion(P, Q)
+    return BoxRegion(*args), ref.BoxRegion(*args)
+
+
+def _mirror(kind, *args):
+    # s -> -s; the character is mirrored by v1 -> -v1
+    if kind == "segment":
+        return tuple((-s, q) for s, q in args)
+    s_lo, s_hi, q_lo, q_hi = args
+    return (-s_hi, -s_lo, q_lo, q_hi)
+
+
+def _assert_same(v, kind, args, bounds, L):
+    for vv, aa in ((v, args), (V(v.v0, -v.v1, v.v2), _mirror(kind, *args))):
+        new_region, ref_region = _regions(kind, *aa)
+        got = enumerate_candidate_walls(vv, new_region, *bounds, L)
+        want = ref.enumerate_candidate_walls(vv, ref_region, *bounds, L)
+        assert [cw.to_dict() for cw in got] == [cw.to_dict() for cw in want], (
+            vv, kind, aa, bounds,
+        )
+
+
+def _rand_point(rng):
+    s = F(rng.randint(-12, 12), rng.randint(1, 8))
+    return (s, s * s / 2 + F(rng.randint(1, 12), rng.randint(1, 8)))
+
+
+def _rand_char(rng):
+    while True:
+        c = rng.randint(-5, 5)
+        v = V(rng.randint(-3, 3), c, F(rng.randint(-8, 8)) + F(c % 2, 2))
+        if not v.is_zero and discriminant(v) >= 0:
+            return v
+
+
+def _box_around(P, Q, rng):
+    s_lo, s_hi = min(P[0], Q[0]), max(P[0], Q[0])
+    q_lo = max(s_lo * s_lo, s_hi * s_hi) / 2 + F(rng.randint(1, 4), rng.randint(1, 4))
+    return (s_lo, s_hi, q_lo, q_lo + F(rng.randint(0, 6), rng.randint(1, 3)))
+
+
+# pinned degenerate inputs: (v, kind, region args, bounds)
+DEGENERATE = [
+    # horizontal segment
+    (V(1, 0, -1), "segment", ((F(-2), F(5, 2)), (F(1, 2), F(5, 2))), (3, 5)),
+    # vertical walls: v's plane point shares s = 0 with witnesses; the box
+    # edge s = 0 lies on one of them
+    (V(1, 0, -1), "box", (0, 1, 1, 2), (3, 5)),
+    (V(1, 0, -1), "segment", ((F(-1), F(1)), (F(1), F(3, 2))), (3, 5)),
+    # rank-zero character: every wall is vertical
+    (V(0, 0, 1), "box", (-1, 1, 1, 2), (2, 3)),
+    (V(0, 1, F(1, 2)), "segment", ((F(-1), F(1)), (F(2), F(3))), (2, 3)),
+    # the wall q = s/2 of (1, 0, 0) passes through the corner (1/2, 1/4)
+    (V(1, 0, 0), "box", (0, F(1, 2), F(1, 4), 1), (3, 5)),
+    (V(1, 0, 0), "segment", ((F(1, 2), F(1, 4)), (F(-1), F(3))), (3, 5)),
+    # the segment lies on the wall q = s/2: a "span" clip
+    (V(1, 0, 0), "segment", ((F(1, 5), F(1, 10)), (F(4, 5), F(2, 5))), (3, 5)),
+    # a degenerate segment and a degenerate box
+    (V(1, -3, -2), "segment", ((F(0), F(1)), (F(0), F(1))), (3, 5)),
+    (V(1, -3, -2), "box", (0, 0, 1, 2), (3, 5)),
+    # plain integer components rather than Fractions
+    (VTilde(1, 0, -1), "box", (-2, 0, 3, 4), (3, 5)),
+    (VTilde(2, 1, 0), "segment", ((F(-2), F(5, 2)), (F(1), F(3))), (3, 5)),
+    # nothing to enumerate at rank bound zero, and a c1-only scan
+    (V(1, 0, -1), "segment", ((F(-2), F(5, 2)), (F(-1, 2), F(3, 4))), (0, 0)),
+    (V(1, 0, -1), "box", (-2, 0, 3, 4), (0, 5)),
+]
+
+
+@pytest.mark.parametrize("v,kind,args,bounds", DEGENERATE)
+def test_enumeration_matches_reference_degenerate(v, kind, args, bounds, p2):
+    _assert_same(v, kind, args, bounds, p2)
+
+
+def test_enumeration_matches_reference_p2(p2):
+    rng = random.Random(3101)
+    for _ in range(16):
+        v = _rand_char(rng)
+        P, Q = _rand_point(rng), _rand_point(rng)
+        if rng.random() < 0.5:
+            _assert_same(v, "segment", (P, Q), (3, 5), p2)
+        else:
+            _assert_same(v, "box", _box_around(P, Q, rng), (2, 3), p2)
+
+
+def test_enumeration_matches_reference_p1xp1(product_surface):
+    rng = random.Random(3102)
+    for _ in range(3):
+        while True:
+            v = V(2 * rng.randint(-2, 2), rng.randint(-3, 3), F(rng.randint(-6, 6), 2))
+            if not v.is_zero and discriminant(v) >= 0:
+                break
+        P, Q = _rand_point(rng), _rand_point(rng)
+        _assert_same(v, "segment", (P, Q), (2, 2), product_surface)
+        _assert_same(v, "box", _box_around(P, Q, rng), (1, 2), product_surface)
+
+
+def _meet(clip):
+    # the old segment clip reports a degenerate segment as a span of one point
+    if clip is None:
+        return None
+    pts = set(clip[1])
+    return ("point" if len(pts) == 1 else "span", pts)
+
+
+def test_corner_clip_matches_reference_clips():
+    rng = random.Random(3103)
+    lines = [PlaneLine.make(0, 1, -2), PlaneLine.make(1, -1, 0), PlaneLine.make(-1, 0, 1)]
+    for _ in range(300):
+        a, b = _rand_point(rng), _rand_point(rng)
+        if a != b:
+            lines.append(line_through(SP(*a).plane_point(), SP(*b).plane_point()))
+    regions = [
+        _regions("segment", (F(1, 5), F(1, 10)), (F(4, 5), F(2, 5))),
+        _regions("segment", (F(0), F(1)), (F(0), F(1))),
+        _regions("box", 0, F(1, 2), F(1, 4), 1),
+        _regions("box", 0, 0, 1, 2),
+        _regions("box", -1, 1, 1, 1),
+    ]
+    for _ in range(40):
+        P, Q = _rand_point(rng), _rand_point(rng)
+        regions.append(_regions("segment", P, Q))
+        regions.append(_regions("box", *_box_around(P, Q, rng)))
+    kinds = set()
+    for new_region, ref_region in regions:
+        for line in lines:
+            got, want = new_region.wall_clip(line), ref_region.wall_clip(line)
+            assert _meet(got) == _meet(want), (line, got, want)
+            kinds.add(None if want is None else _meet(want)[0])
+    assert kinds == {None, "point", "span"}

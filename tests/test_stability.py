@@ -13,6 +13,7 @@ from walland import (
     NotInHeartError,
     PlanePoint,
     PreconditionError,
+    QuadNum,
     StabPoint,
     VTilde,
     ZeroChargeError,
@@ -292,6 +293,17 @@ def test_lifted_phase_value_and_compare():
     assert LiftedPhase(1, (1, -1)).compare(LiftedPhase(0, (-1, 1))) == 0
     with pytest.raises(ZeroChargeError):
         LiftedPhase(0, (0, 0))
+
+
+def test_display_floats_survive_huge_rays():
+    # components beyond float range still give a finite display value
+    assert LiftedPhase(0, (10**400, 1)).to_dict()["approx"] == 0.0
+    assert LiftedPhase(2, (-(10**400), 1)).to_dict()["approx"] == 3.0
+    assert LiftedPhase(0, (10**400, 10**400)).approx() == 0.25
+    big = LiftedPhase(0, (QuadNum(10**400, 1, 2), QuadNum(0, 10**400, 3)))
+    assert math.isclose(big.approx(), math.atan(math.sqrt(3)) / math.pi)
+    # rays that convert keep their value exactly
+    assert LiftedPhase(0, (3, 4)).approx() == math.atan2(4.0, 3.0) / math.pi
 
 
 def test_lifted_phase_adjacent_sheets():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from walland import (
     DimensionMismatch,
     HomCochain,
+    InvariantError,
     Mat,
     MatrixComplex,
     PreconditionError,
@@ -226,6 +227,22 @@ def test_cohomology_out_of_support_degree():
     far = cohomology(C, C, 5)
     assert far.dim == far.ker_dim == far.im_dim == 0
     assert far.reps == [] and far.cocycles == [] and far.coboundaries == []
+
+
+def test_cohomology_dimension_mismatch_raises(monkeypatch):
+    # a kernel basis with a repeated vector overstates the group dimension;
+    # the check is a raised error, so it holds under python -O too
+    import walland.traces as traces
+
+    real = traces._kernel_basis
+
+    def repeated_first(*args):
+        basis = real(*args)
+        return basis + basis[:1]
+
+    monkeypatch.setattr(traces, "_kernel_basis", repeated_first)
+    with pytest.raises(InvariantError, match="degree 0: 2 representatives, dimension 3"):
+        cohomology(two_term(0), two_term(0), 0)
 
 
 def test_cohomology_witnesses_fuzz():
