@@ -25,7 +25,6 @@ from .lattice import (
     derived_dual,
     discriminant,
     euler_pairing,
-    intersect,
     tensor_by_K,
     twist_char,
     untwist_char,

@@ -14,7 +14,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .errors import CertificateFailure, PreconditionError, SchemaError
+from .errors import CertificateFailure, PreconditionError, SchemaError, WallandError
 from .jsonio import dumps_canonical, parse_frac
 from .lattice import CharVec, SurfaceLattice, vtilde
 from .stability import (
@@ -46,12 +46,6 @@ from .walls import (
 )
 
 
-def _load_surface(path: str) -> SurfaceLattice:
-    if not os.path.exists(path):
-        raise SchemaError(f"surface file not found: {path}")
-    return SurfaceLattice.load(path)
-
-
 def _parse_char(text: str, L: SurfaceLattice) -> CharVec:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != L.rank + 2:
@@ -62,16 +56,19 @@ def _parse_char(text: str, L: SurfaceLattice) -> CharVec:
     return CharVec.make(parts[0], parts[1:-1], parts[-1])
 
 
-def _stab(s: str, q: str) -> StabPoint:
-    return StabPoint.make(parse_frac(s), parse_frac(q))
-
-
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _error_doc(exc: WallandError) -> str:
+    doc = {"error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, CertificateFailure):
+        doc["payload"] = exc.payload
+    return dumps_canonical(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +77,9 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_charge(args) -> str:
-    L = _load_surface(args.surface)
+    L = SurfaceLattice.load(args.surface)
     ch = _parse_char(args.char, L)
-    P = _stab(args.s, args.q)
+    P = StabPoint.make(args.s, args.q)
     v = vtilde(ch, L)
     z = central_charge(P, v)
     heart = heart_sign_check(P, v)
@@ -97,30 +94,29 @@ def _cmd_charge(args) -> str:
 
 
 def _cmd_dim(args) -> str:
-    L = _load_surface(args.surface)
+    L = SurfaceLattice.load(args.surface)
     ch = _parse_char(args.char, L)
     return dumps_canonical({"expected_dim": str(expected_moduli_dim(ch, L))})
 
 
 def _cmd_ext2(args) -> str:
-    L = _load_surface(args.surface)
+    L = SurfaceLattice.load(args.surface)
     ch = _parse_char(args.char, L)
-    P = _stab(args.s, args.q)
+    P = StabPoint.make(args.s, args.q)
     cert = ext2_vanishing_certificate(P, vtilde(ch, L), ch, L)
     if getattr(args, "svg", None):
         leaf = cert
         while leaf.inner is not None:
             leaf = leaf.inner
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_certificate(leaf.data))
+        _write(args.svg, render_certificate(leaf.data))
     return dumps_canonical({"certificate": cert.to_dict()})
 
 
 def _cmd_phase_bounds(args) -> str:
-    L = _load_surface(args.surface)
+    L = SurfaceLattice.load(args.surface)
     ch = _parse_char(args.char, L)
-    P = _stab(args.s, args.q)
-    Q = _stab(args.s2, args.q2)
+    P = StabPoint.make(args.s, args.q)
+    Q = StabPoint.make(args.s2, args.q2)
     interval = phase_bound_interval(P, Q, vtilde(ch, L))
     return dumps_canonical({"interval": interval.to_dict()})
 
@@ -133,7 +129,7 @@ def _parse_quad_flags(args):
 
 
 def _cmd_walls(args) -> str:
-    L = _load_surface(args.surface)
+    L = SurfaceLattice.load(args.surface)
     ch = _parse_char(args.char, L)
     if (args.segment is None) == (args.box is None):
         raise SchemaError("provide exactly one of --segment or --box")
@@ -150,10 +146,10 @@ def _cmd_walls(args) -> str:
 
 
 def _cmd_simulate(args) -> str:
-    L = _load_surface(args.surface)
+    L = SurfaceLattice.load(args.surface)
     ch = _parse_char(args.char, L)
-    P = _stab(args.s, args.q)
-    Q = _stab(args.s2, args.q2)
+    P = StabPoint.make(args.s, args.q)
+    Q = StabPoint.make(args.s2, args.q2)
     bounds = EnumerationBounds(args.rank_bound, args.c1_bound)
     root = simulate_destabilization_paths(P, Q, vtilde(ch, L), bounds, L)
     leaves = [
@@ -272,35 +268,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        text = args.func(args)
+        code, text = 0, args.func(args)
     except SchemaError as exc:
-        _emit(args, dumps_canonical({"error": "SchemaError", "message": str(exc)}))
-        return 2
-    except CertificateFailure as exc:
-        _emit(
-            args,
-            dumps_canonical(
-                {
-                    "error": "CertificateFailure",
-                    "message": str(exc),
-                    "payload": exc.payload,
-                }
-            ),
-        )
-        return 4
+        code, text = 2, _error_doc(exc)
     except PreconditionError as exc:
-        _emit(
-            args,
-            dumps_canonical(
-                {"error": type(exc).__name__, "message": str(exc)}
-            ),
-        )
-        return 3
-    _emit(args, text)
-    return 0
+        code, text = 3, _error_doc(exc)
+    except CertificateFailure as exc:
+        code, text = 4, _error_doc(exc)
+    if args.out:
+        try:
+            _write(args.out, text)
+            return code
+        except SchemaError as exc:  # the document goes to stdout instead
+            code, text = 2, _error_doc(exc)
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

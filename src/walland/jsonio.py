@@ -11,27 +11,16 @@ import json
 from fractions import Fraction
 
 from .errors import SchemaError
-from .plane import QuadNum
+from .plane import QuadNum, parse_frac
 
 
 def frac_str(f) -> str:
     return str(Fraction(f))
 
 
-def parse_frac(s) -> Fraction:
-    if isinstance(s, (int, Fraction)):
-        return Fraction(s)
-    if isinstance(s, str):
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational literal {s!r}") from exc
-    raise SchemaError(f"not a rational: {s!r}")
-
-
 def quad_to_json(x) -> dict:
     if not isinstance(x, QuadNum):
-        x = QuadNum(Fraction(x))
+        x = QuadNum(x)
     return {"a": frac_str(x.a), "b": frac_str(x.b), "delta": frac_str(x.d)}
 
 

@@ -15,22 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, PreconditionError, SchemaError
-from .plane import PlanePoint
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational literal {x!r}") from exc
-    raise SchemaError(f"not a rational: {x!r}")
-
-
-def _fmt(f: Fraction) -> str:
-    return str(f)
+from .plane import PlanePoint, parse_frac
 
 
 @dataclass(frozen=True)
@@ -41,7 +26,7 @@ class DivisorClass:
 
     @staticmethod
     def make(coords) -> "DivisorClass":
-        return DivisorClass(tuple(_frac(c) for c in coords))
+        return DivisorClass(tuple(parse_frac(c) for c in coords))
 
     def __add__(self, other):
         self._check(other)
@@ -55,7 +40,7 @@ class DivisorClass:
         return DivisorClass(tuple(-a for a in self.coords))
 
     def scale(self, t) -> "DivisorClass":
-        t = _frac(t)
+        t = parse_frac(t)
         return DivisorClass(tuple(t * a for a in self.coords))
 
     def _check(self, other):
@@ -129,12 +114,12 @@ class SurfaceLattice:
         try:
             basis = tuple(str(b) for b in data["basis"])
             gram = tuple(
-                tuple(_frac(x) for x in row) for row in data["gram"]
+                tuple(parse_frac(x) for x in row) for row in data["gram"]
             )
             H = DivisorClass.make(data["H"])
             D = DivisorClass.make(data["D"])
             K = DivisorClass.make(data["K"])
-            chiO = _frac(data["chiO"])
+            chiO = parse_frac(data["chiO"])
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"surface lattice record missing field: {exc}") from exc
         return SurfaceLattice(basis, gram, H, D, K, chiO)
@@ -142,26 +127,25 @@ class SurfaceLattice:
     def to_dict(self) -> dict:
         return {
             "basis": list(self.basis),
-            "gram": [[_fmt(x) for x in row] for row in self.gram],
-            "H": [_fmt(c) for c in self.H.coords],
-            "D": [_fmt(c) for c in self.D.coords],
-            "K": [_fmt(c) for c in self.K.coords],
-            "chiO": _fmt(self.chiO),
+            "gram": [[str(x) for x in row] for row in self.gram],
+            "H": [str(c) for c in self.H.coords],
+            "D": [str(c) for c in self.D.coords],
+            "K": [str(c) for c in self.K.coords],
+            "chiO": str(self.chiO),
         }
 
     @staticmethod
     def load(path) -> "SurfaceLattice":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+        except FileNotFoundError as exc:
+            raise SchemaError(f"surface file not found: {path}") from exc
+        except OSError as exc:  # a directory, no permission, ...
+            raise SchemaError(f"cannot read {path}: {exc.strerror}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
         return SurfaceLattice.from_dict(data)
-
-
-def intersect(a: DivisorClass, b: DivisorClass, L: SurfaceLattice) -> Fraction:
-    """Symmetric intersection number through the gram matrix."""
-    return L.pair(a, b)
 
 
 @dataclass(frozen=True)
@@ -174,7 +158,7 @@ class CharVec:
 
     @staticmethod
     def make(r, c1_coords, e) -> "CharVec":
-        return CharVec(_frac(r), DivisorClass.make(c1_coords), _frac(e))
+        return CharVec(parse_frac(r), DivisorClass.make(c1_coords), parse_frac(e))
 
     def __add__(self, other):
         return CharVec(self.r + other.r, self.c1 + other.c1, self.e + other.e)
@@ -195,9 +179,9 @@ class CharVec:
 
     def to_dict(self) -> dict:
         return {
-            "r": _fmt(self.r),
-            "c1": [_fmt(c) for c in self.c1.coords],
-            "e": _fmt(self.e),
+            "r": str(self.r),
+            "c1": [str(c) for c in self.c1.coords],
+            "e": str(self.e),
         }
 
     @staticmethod
@@ -218,7 +202,7 @@ class VTilde:
 
     @staticmethod
     def make(v0, v1, v2) -> "VTilde":
-        return VTilde(_frac(v0), _frac(v1), _frac(v2))
+        return VTilde(parse_frac(v0), parse_frac(v1), parse_frac(v2))
 
     def __add__(self, other):
         return VTilde(self.v0 + other.v0, self.v1 + other.v1, self.v2 + other.v2)
@@ -242,7 +226,7 @@ class VTilde:
         return (self.v0, self.v1, self.v2)
 
     def to_list(self):
-        return [_fmt(self.v0), _fmt(self.v1), _fmt(self.v2)]
+        return [str(self.v0), str(self.v1), str(self.v2)]
 
 
 def twist_char(ch: CharVec, L: SurfaceLattice) -> CharVec:

@@ -16,19 +16,26 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
 
-from .errors import MixedRadicalError, PreconditionError
+from .errors import MixedRadicalError, PreconditionError, SchemaError
 
 Rat = Union[int, Fraction]
 
 
-def _frac(x) -> Fraction:
+def parse_frac(x) -> Fraction:
+    """The one rational coercion: a Fraction as is, an int, or a "p/q" string.
+
+    Anything else, floats included, raises SchemaError.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not a rational: {x!r}")
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"bad rational literal {x!r}") from exc
+    raise SchemaError(f"not a rational: {x!r}")
 
 
 def _sq_root_if_perfect(f: Fraction):
@@ -53,9 +60,9 @@ class QuadNum:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0, d=0):
-        a = _frac(a)
-        b = _frac(b)
-        d = _frac(d)
+        a = parse_frac(a)
+        b = parse_frac(b)
+        d = parse_frac(d)
         if d < 0:
             raise PreconditionError("negative radicand")
         if b == 0:
@@ -145,7 +152,7 @@ class QuadNum:
         return self * inv
 
     def __rtruediv__(self, other):
-        return QuadNum(_frac(other)) / self
+        return QuadNum(other) / self
 
     # -- exact sign and order ----------------------------------------------
 
@@ -243,7 +250,9 @@ class PlanePoint:
 
     @staticmethod
     def make(v0, v1, v2) -> "PlanePoint":
-        return PlanePoint(_canonical_int_triple(_frac(v0), _frac(v1), _frac(v2)))
+        return PlanePoint(
+            _canonical_int_triple(parse_frac(v0), parse_frac(v1), parse_frac(v2))
+        )
 
     @staticmethod
     def affine(x, y) -> "PlanePoint":
@@ -280,7 +289,9 @@ class PlaneLine:
 
     @staticmethod
     def make(a, b, c) -> "PlaneLine":
-        return PlaneLine(_canonical_int_triple(_frac(a), _frac(b), _frac(c)))
+        return PlaneLine(
+            _canonical_int_triple(parse_frac(a), parse_frac(b), parse_frac(c))
+        )
 
     @property
     def is_line_at_infinity(self) -> bool:
@@ -328,16 +339,13 @@ def line_through(p: PlanePoint, q: PlanePoint) -> PlaneLine:
     if p == q:
         raise PreconditionError("line_through needs two distinct points")
     # coefficient vector orthogonal to both coordinate triples
-    c = _cross3((p.h[0], p.h[1], p.h[2]), (q.h[0], q.h[1], q.h[2]))
-    a, b, cc = c
-    return PlaneLine.make(Fraction(a), Fraction(b), Fraction(cc))
+    return PlaneLine.make(*_cross3(p.h, q.h))
 
 
 def line_intersection(l1: PlaneLine, l2: PlaneLine) -> PlanePoint:
     if l1 == l2:
         raise PreconditionError("identical lines have no unique intersection")
-    h = _cross3(l1.coeffs, l2.coeffs)
-    return PlanePoint.make(Fraction(h[0]), Fraction(h[1]), Fraction(h[2]))
+    return PlanePoint.make(*_cross3(l1.coeffs, l2.coeffs))
 
 
 def collinear(p: PlanePoint, q: PlanePoint, r: PlanePoint) -> bool:
@@ -372,11 +380,11 @@ class ParabolaShift:
 
     @staticmethod
     def make(C) -> "ParabolaShift":
-        return ParabolaShift(_frac(C))
+        return ParabolaShift(parse_frac(C))
 
     @staticmethod
     def through(x, y) -> "ParabolaShift":
-        x, y = _frac(x), _frac(y)
+        x, y = parse_frac(x), parse_frac(y)
         return ParabolaShift(y - x * x / 2)
 
     def height(self, x):
@@ -417,7 +425,7 @@ def parabola_translate(p: PlanePoint, delta) -> PlanePoint:
     """Slide an affine point along its own parabola y = x^2/2 + C by delta in x."""
     if p.at_infinity:
         raise PreconditionError("cannot translate a point at infinity along a parabola")
-    delta = _frac(delta)
+    delta = parse_frac(delta)
     par = ParabolaShift.through(p.x, p.y)
     nx = p.x + delta
     return PlanePoint.affine(nx, par.height(nx))
@@ -472,7 +480,7 @@ def rational_strictly_between(lo, hi) -> Fraction:
     """
     if sign_of(hi - lo) <= 0:
         raise PreconditionError("empty open interval")
-    lo, hi = (x if isinstance(x, QuadNum) else _frac(x) for x in (lo, hi))
+    lo, hi = (x if isinstance(x, QuadNum) else parse_frac(x) for x in (lo, hi))
     if sign_of(hi) <= 0:
         return -rational_strictly_between(-hi, -lo)
     if sign_of(lo) < 0:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     DegenerateGeometryError,
@@ -22,11 +23,14 @@ from .errors import (
     ZeroChargeError,
 )
 from .lattice import VTilde, discriminant
-from .plane import PlaneLine, PlanePoint, line_intersection, line_through, sign_of
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .plane import (
+    PlaneLine,
+    PlanePoint,
+    line_intersection,
+    line_through,
+    parse_frac,
+    sign_of,
+)
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,10 @@ class StabPoint:
 
     @staticmethod
     def make(s, q) -> "StabPoint":
-        return StabPoint(_frac(s), _frac(q))
+        return StabPoint(parse_frac(s), parse_frac(q))
+
+    def __iter__(self):
+        return iter((self.s, self.q))
 
     def plane_point(self) -> PlanePoint:
         return PlanePoint.affine(self.s, self.q)
@@ -55,12 +62,11 @@ class StabPoint:
 
 def segment_point(P: StabPoint, Q: StabPoint, t) -> StabPoint:
     """Affine interpolation; stays above the parabola by convexity."""
-    t = _frac(t)
+    t = parse_frac(t)
     return StabPoint(P.s + t * (Q.s - P.s), P.q + t * (Q.q - P.q))
 
 
-@dataclass(frozen=True)
-class ChargeValue:
+class ChargeValue(NamedTuple):
     re: Fraction
     im: Fraction
 
@@ -76,9 +82,10 @@ class ChargeValue:
         return {"re": str(self.re), "im": str(self.im)}
 
 
-def central_charge(P: StabPoint, v: VTilde) -> ChargeValue:
-    """Z(v) = (-v2 + q*v0) + i*(v1 - s*v0)."""
-    return ChargeValue(-v.v2 + P.q * v.v0, v.v1 - P.s * v.v0)
+def central_charge(P, v: VTilde) -> ChargeValue:
+    """Z(v) = (-v2 + q*v0) + i*(v1 - s*v0) at P = (s, q), a StabPoint or a pair."""
+    s, q = P
+    return ChargeValue(-v.v2 + q * v.v0, v.v1 - s * v.v0)
 
 
 class HeartPosition(enum.Enum):
@@ -99,7 +106,7 @@ def heart_sign_check(P: StabPoint, v: VTilde) -> HeartPosition:
 
 def canonical_ray(x, y):
     """Scale a nonzero rational direction to a coprime integer pair."""
-    x, y = _frac(x), _frac(y)
+    x, y = parse_frac(x), parse_frac(y)
     if x == 0 and y == 0:
         raise ZeroChargeError("zero vector has no direction")
     m = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
@@ -261,28 +268,27 @@ class PhaseValue:
         }
 
 
-def phase(P: StabPoint, v: VTilde) -> PhaseValue:
-    """Principal phase Arg(Z)/pi for a heart-sign character."""
+def _heart_charge(P: StabPoint, v: VTilde) -> ChargeValue:
+    """Z(v), which must be nonzero and pass the heart sign check at P."""
     z = central_charge(P, v)
     if z.is_zero:
         raise ZeroChargeError("kernel character has no phase")
-    if z.im < 0 or (z.im == 0 and z.re > 0):
+    if heart_sign_check(P, v) is HeartPosition.Fails:
         raise NotInHeartError(
             f"charge ({z.re}, {z.im}) below the heart half plane at ({P.s}, {P.q})"
         )
-    return PhaseValue(z.ray(), theta_approx((z.re, z.im)))
+    return z
+
+
+def phase(P: StabPoint, v: VTilde) -> PhaseValue:
+    """Principal phase Arg(Z)/pi for a heart-sign character."""
+    z = _heart_charge(P, v)
+    return PhaseValue(z.ray(), theta_approx(z))
 
 
 def phase_compare(P: StabPoint, v: VTilde, w: VTilde) -> int:
     """Exact order of two heart phases: -1, 0 or +1."""
-    zv = central_charge(P, v)
-    zw = central_charge(P, w)
-    for z in (zv, zw):
-        if z.is_zero:
-            raise ZeroChargeError("kernel character has no phase")
-        if z.im < 0 or (z.im == 0 and z.re > 0):
-            raise NotInHeartError("phase comparison requires heart-sign characters")
-    return theta_compare((zv.re, zv.im), (zw.re, zw.im))
+    return theta_compare(_heart_charge(P, v), _heart_charge(P, w))
 
 
 def wall_of(v: VTilde, w: VTilde) -> PlaneLine:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import PreconditionError, SchemaError
 
 SCENES = ("phase-compare", "deform", "ext2-worked")
 
@@ -168,8 +168,16 @@ def render_certificate(data: dict) -> str:
 
     Draws both parabolas (the boundary one and the one through P and Q),
     both chords with their parabola intersections, and the two plane
-    points when they are affine.
+    points when they are affine.  A figure whose coordinates lie beyond
+    float range raises PreconditionError.
     """
+    try:
+        return _draw_certificate(data).render()
+    except OverflowError as exc:
+        raise PreconditionError("certificate figure lies beyond float range") from exc
+
+
+def _draw_certificate(data: dict) -> _Canvas:
     P = (Fraction(data["P"]["s"]), Fraction(data["P"]["q"]))
     Q = (Fraction(data["Q"]["s"]), Fraction(data["Q"]["q"]))
     A = tuple(_quad_float(c) for c in data["A"])
@@ -197,7 +205,7 @@ def render_certificate(data: dict) -> str:
     cv.segment(A2, B2, "#b23a1f")
     for xy, label, color in marks:
         cv.point(xy, label, color)
-    return cv.render()
+    return cv
 
 
 _RENDERERS = {

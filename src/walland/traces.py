@@ -16,10 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DimensionMismatch, InvariantError, PreconditionError
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .plane import parse_frac
 
 
 class Mat:
@@ -30,7 +27,7 @@ class Mat:
     def __init__(self, rows: int, cols: int, data):
         if rows < 0 or cols < 0:
             raise DimensionMismatch("negative matrix shape")
-        data = tuple(tuple(_frac(x) for x in row) for row in data)
+        data = tuple(tuple(parse_frac(x) for x in row) for row in data)
         if len(data) != rows or any(len(r) != cols for r in data):
             raise DimensionMismatch("matrix data does not match its shape")
         self.rows = rows
@@ -93,7 +90,7 @@ class Mat:
         return self.scale(-1)
 
     def scale(self, c) -> "Mat":
-        c = _frac(c)
+        c = parse_frac(c)
         return Mat(self.rows, self.cols, [[c * x for x in row] for row in self.data])
 
     def __mul__(self, other: "Mat") -> "Mat":

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as _iterproduct
+from itertools import chain, product as _iterproduct
 from typing import Optional
 
 from .errors import (
@@ -50,6 +50,7 @@ from .plane import (
     line_parabola_intersect,
     line_through,
     parabola_translate,
+    parse_frac,
     rational_strictly_between,
 )
 from .stability import (
@@ -62,11 +63,6 @@ from .stability import (
     segment_point,
     wall_of,
 )
-
-
-def _charge(s: Fraction, q: Fraction, x: VTilde):
-    """Raw charge components at an arbitrary parameter pair."""
-    return (-x.v2 + q * x.v0, x.v1 - s * x.v0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +157,8 @@ class BoxRegion:
     """Axis-aligned closed box strictly above the parabola."""
 
     def __init__(self, s_lo, s_hi, q_lo, q_hi):
-        self.s_lo, self.s_hi = Fraction(s_lo), Fraction(s_hi)
-        self.q_lo, self.q_hi = Fraction(q_lo), Fraction(q_hi)
+        self.s_lo, self.s_hi = parse_frac(s_lo), parse_frac(s_hi)
+        self.q_lo, self.q_hi = parse_frac(q_lo), parse_frac(q_hi)
         if self.s_lo > self.s_hi or self.q_lo > self.q_hi:
             raise PreconditionError("empty box region")
         # max of s^2/2 over [s_lo, s_hi] sits at a corner
@@ -197,10 +193,10 @@ def _proportional(v: VTilde, w: VTilde) -> bool:
     )
 
 
-def _ratio_at(s, q, v: VTilde, w: VTilde):
-    """t with Z(w) = t * Z(v) at (s, q), or None."""
-    re_v, im_v = _charge(s, q, v)
-    re_w, im_w = _charge(s, q, w)
+def _ratio_at(p, v: VTilde, w: VTilde):
+    """t with Z(w) = t * Z(v) at p = (s, q), or None."""
+    re_v, im_v = central_charge(p, v)
+    re_w, im_w = central_charge(p, w)
     if re_v == 0 and im_v == 0:
         return None
     t = im_w / im_v if im_v != 0 else re_w / re_v
@@ -216,11 +212,9 @@ def _span_test_params(p0, p1, v: VTilde, w: VTilde):
     ratio-equals-plus-minus-one combinations; together with interval
     midpoints they decide existence questions for the ratio exactly.
     """
-    ds, dq = p1[0] - p0[0], p1[1] - p0[1]
-
     def lin(x: VTilde):
-        re0, im0 = _charge(p0[0], p0[1], x)
-        re1, im1 = _charge(p0[0] + ds, p0[1] + dq, x)
+        re0, im0 = central_charge(p0, x)
+        re1, im1 = central_charge(p1, x)
         return (re0, re1 - re0), (im0, im1 - im0)
 
     (rv, drv), (iv, div_) = lin(v)
@@ -259,8 +253,8 @@ def _destab_exists(v: VTilde, w: VTilde, clip) -> bool:
         (s0, q0), (s1, q1) = pts
         params = _span_test_params(pts[0], pts[1], v, w)
         pts = [(s0 + t * (s1 - s0), q0 + t * (q1 - q0)) for t in params]
-    for s, q in pts:
-        ratio = _ratio_at(s, q, v, w)
+    for p in pts:
+        ratio = _ratio_at(p, v, w)
         if ratio is not None and ratio != 0 and ratio * ratio < 1:
             return True
     return False
@@ -283,8 +277,14 @@ class CandidateWall:
         }
 
 
+# Steps one enumeration may take, counting (rank, c1) pairs and witnesses
+# apart: the corpora need about 10^4 at most, and a huge character, region
+# or bound could need more than any run can finish.
+_SCAN_LIMIT = 10**6
+
+
 def _pencil_ks(lo: int, hi: int, forms):
-    """Integers k in [lo, hi] whose wall meets the region, lazily.
+    """Integers k in [lo, hi] whose wall meets the region, as ranges.
 
     forms holds per region corner an (A, B) with A + B*k a positive multiple
     of det(v, w, corner).  The wall misses the closed convex region exactly
@@ -305,11 +305,12 @@ def _pencil_ks(lo: int, hi: int, forms):
         else:
             if a <= b:
                 holes.append((a, b))
-    start = lo
+    ranges, start = [], lo
     for a, b in sorted(holes):
-        yield from range(start, a)
+        ranges.append(range(start, a))
         start = b + 1
-    yield from range(start, hi + 1)
+    ranges.append(range(start, hi + 1))
+    return ranges
 
 
 def enumerate_candidate_walls(
@@ -325,12 +326,18 @@ def enumerate_candidate_walls(
     point and det(v, w, corner) is linear in k, so the k whose wall misses
     the region are cut out in closed form by corner signs before any
     witness is built.  Kept are the survivors whose ratio condition is
-    achieved somewhere on the meet.
+    achieved somewhere on the meet.  PreconditionError is raised when the
+    bounds allow more than _SCAN_LIMIT (rank, c1) pairs, and before scanning
+    any pair whose survivors would take their total over _SCAN_LIMIT.
     """
     bounds = EnumerationBounds(int(rank_bound), int(c1_bound))
     if v.is_zero:
         raise ZeroChargeError("zero character has no walls")
+    pairs = (2 * bounds.rank_bound + 1) * (2 * bounds.c1_bound + 1) ** L.rank
+    if pairs > _SCAN_LIMIT:
+        raise PreconditionError(f"bounds allow over {_SCAN_LIMIT} (rank, c1) pairs")
     found = {}
+    budget = _SCAN_LIMIT
     H, D = L.H, L.D
     H2 = L.pair(H, H)
     DD = L.pair(D, D)
@@ -370,7 +377,11 @@ def enumerate_candidate_walls(
             elif u0 < 0:
                 k_hi = min(k_hi, v.v2 - base - u1 * u1 / (2 * u0))
             forms = [(w0 * n0 + w1 * n1 + base * n2, n2) for n0, n1, n2 in normals]
-            for k in _pencil_ks(math.ceil(k_lo), math.floor(k_hi), forms):
+            ks = _pencil_ks(math.ceil(k_lo), math.floor(k_hi), forms)
+            budget -= sum(max(0, r.stop - r.start) for r in ks)
+            if budget < 0:
+                raise PreconditionError(f"scan would pass {_SCAN_LIMIT} witnesses")
+            for k in chain.from_iterable(ks):
                 w = VTilde(w0, w1, base + k)
                 if _proportional(v, w):  # also w = 0 and w = v
                     continue
@@ -469,8 +480,8 @@ def phase_bound_interval(P: StabPoint, Q: StabPoint, v: VTilde) -> PhaseInterval
     """
     if v.is_zero:
         raise ZeroChargeError("zero character has no phase interval")
-    zP = _charge(P.s, P.q, v)
-    if zP[0] == 0 and zP[1] == 0:
+    zP = central_charge(P, v)
+    if zP.is_zero:
         raise PreconditionError("character plane point coincides with P")
     Xv = v.plane_point()
     L = line_through(Xv, P.plane_point())
@@ -588,8 +599,8 @@ def simulate_destabilization_paths(
     bounds = EnumerationBounds.coerce(bounds)
     if v.is_zero:
         raise ZeroChargeError("zero character cannot be walked")
-    z0 = _charge(P.s, P.q, v)
-    if z0[0] == 0 and z0[1] == 0:
+    z0 = central_charge(P, v)
+    if z0.is_zero:
         raise PreconditionError("character charge vanishes at the start point")
     memo = {}
 
@@ -599,7 +610,7 @@ def simulate_destabilization_paths(
         if hit is not None:
             return hit
         start = segment_point(P, Q, t0)
-        z_end = _charge(Q.s, Q.q, char)
+        z_end = central_charge(Q, char)
         leaf = entry.transport(canonical_ray(*z_end))
         events = []
         for cand in enumerate_candidate_walls(
@@ -612,12 +623,12 @@ def simulate_destabilization_paths(
             t_local = Fraction(f0, f0 - f1)
             t_star = t0 + t_local * (1 - t0)
             R = segment_point(P, Q, t_star)
-            zR = _charge(R.s, R.q, char)
+            zR = central_charge(R, char)
             lift_R = entry.transport(canonical_ray(*zR))
             splits = []
             seen = set()
             for w in cand.witnesses:
-                ratio = _ratio_at(R.s, R.q, char, w)
+                ratio = _ratio_at(R, char, w)
                 if ratio is None or not (0 < ratio < 1):
                     continue
                 u = char - w
@@ -625,7 +636,7 @@ def simulate_destabilization_paths(
                 if pair_key in seen:
                     continue
                 seen.add(pair_key)
-                zw = _charge(R.s, R.q, w)
+                zw = central_charge(R, w)
                 zu = (zR[0] - zw[0], zR[1] - zw[1])
                 w_node = build(w, t_star, LiftedPhase(lift_R.n, canonical_ray(*zw)))
                 u_node = build(u, t_star, LiftedPhase(lift_R.n, canonical_ray(*zu)))
@@ -780,9 +791,9 @@ def _left_certificate(P, v, ch, L) -> Ext2Certificate:
         {"A": _pt_json(A), "B": _pt_json(B), "Ap": _pt_json(A2), "Bp": _pt_json(B2)}
     )
 
-    zP = _charge(P.s, P.q, v)
-    zQK = _charge(Q.s, Q.q, vK)
-    if zQK == (0, 0):
+    zP = central_charge(P, v)
+    zQK = central_charge(Q, vK)
+    if zQK.is_zero:
         _fail("twisted charge vanishes at the translated parameter", data)
 
     if chord1 == chord2:
@@ -808,17 +819,16 @@ def _left_certificate(P, v, ch, L) -> Ext2Certificate:
 
 
 def _segments_branch(P, Q, v, vK, zP, zQK, R, data) -> Ext2Certificate:
-    rs, rq = R
-    zRv = _charge(rs, rq, v)
-    zRk = _charge(rs, rq, vK)
-    if zRv == (0, 0) or zRk == (0, 0):
+    zRv = central_charge(R, v)
+    zRk = central_charge(R, vK)
+    if zRv.is_zero or zRk.is_zero:
         _fail("a charge vanishes at the chord intersection", data)
     lam_v = LiftedPhase(0, canonical_ray(*zP)).transport(canonical_ray(*zRv))
     lam_k = LiftedPhase(0, canonical_ray(*zQK)).transport(canonical_ray(*zRk))
     data = dict(data)
     data.update(
         {
-            "R": {"s": str(rs), "q": str(rq)},
+            "R": {"s": str(R[0]), "q": str(R[1])},
             "phase_at_R": lam_v.to_dict(),
             "twisted_phase_at_R": lam_k.to_dict(),
         }

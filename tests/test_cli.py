@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -264,3 +265,119 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text()) == {"expected_dim": "0"}
+
+
+def test_unreadable_surface_exit_2(capsys, tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\x7fELF\xd0\xff\xfe\x00")
+    deep = tmp_path / "deep.json"  # nesting beyond the JSON decoder's recursion
+    deep.write_text("[" * 100_000)
+    for surface in (str(tmp_path), str(binary), str(deep)):
+        code, doc = run_json(
+            capsys, "charge", "--surface", surface, "--char", "1,0,0",
+            "--s=-1", "--q=1",
+        )
+        assert code == 2
+        assert doc["error"] == "SchemaError"
+
+
+def test_out_or_svg_in_missing_directory_exit_2(capsys, tmp_path):
+    missing = str(tmp_path / "missing" / "file")
+    for extra in (("--out", missing), ("--svg", missing)):
+        code, doc = run_json(
+            capsys, "ext2", "--surface", P2, "--char", "1,0,0", "--s=-1", "--q=1",
+            *extra,
+        )
+        assert code == 2
+        assert doc["error"] == "SchemaError"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_ext2_figure_beyond_float_range_exit_3(capsys, tmp_path):
+    # the certificate itself holds; only its figure cannot be drawn
+    for char in ("1,0,-1e400", "0,1,1e400"):
+        argv = ["ext2", "--surface", P2, "--char", char, "--s=-1", "--q=1"]
+        code, doc = run_json(capsys, *argv)
+        assert code == 0 and "certificate" in doc
+        code, doc = run_json(capsys, *argv, "--svg", str(tmp_path / "f.svg"))
+        assert code == 3
+        assert doc["error"] == "PreconditionError"
+
+
+def test_cli_fuzz_exit_codes(capsys, tmp_path):
+    # seeded argv from a fixed token pool: every call ends in 0, 2, 3 or 4
+    # (argparse's SystemExit(2) included) and raises nothing else
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00\x81")
+    bad_paths = (str(tmp_path), str(tmp_path / "no.json"), str(binary))
+    surfaces = (P2,) * 12 + (str(SURFACES / "p1xp1_twisted.json"), QUARTIC) + bad_paths
+    outs = (str(tmp_path / "out"), str(tmp_path / "missing" / "out"), str(tmp_path))
+    odd, plain = ("1/0", "nan", "1e400"), ("-7/4", "0", "1", "-1", "2", "3", "1/2")
+    bounds = ("0", "1", "2")
+    chars = ("1,0,0", "0,0,1", "1,0,-1", "-1,-3,-2", "1,0,-1e400", "0,1,1e400")
+    scenes = ("phase-compare", "deform", "ext2-worked", "x")
+    rng = random.Random(4242)
+
+    def rational():
+        return rng.choice(odd if rng.random() < 0.08 else plain)
+
+    def rationals(counts):
+        return ",".join(rational() for _ in range(rng.choice(counts)))
+
+    def count():
+        return rng.choice(bounds) if rng.random() < 0.9 else rational()
+
+    def char():
+        return rng.choice(chars) if rng.random() < 0.5 else rationals((2, 3, 4))
+
+    values = {
+        "--surface": lambda: rng.choice(surfaces),
+        "--char": char,
+        "--segment": lambda: rationals((3, 4, 4, 4)),
+        "--box": lambda: rationals((3, 4, 4, 4)),
+        "--rank-bound": count,
+        "--c1-bound": count,
+        "--n": count,
+        "--seed": count,
+        "--scene": lambda: rng.choice(scenes),
+        "--out": lambda: rng.choice(outs),
+        "--svg": lambda: rng.choice(outs),
+    }
+    for flag in ("--s", "--q", "--s2", "--q2"):
+        values[flag] = rational
+    point, bound = ("--s", "--q"), ("--rank-bound", "--c1-bound")
+    commands = {
+        "charge": ("--surface", "--char") + point,
+        "dim": ("--surface", "--char"),
+        "ext2": ("--surface", "--char") + point,
+        "phase-bounds": ("--surface", "--char", "--s2", "--q2") + point,
+        "walls": ("--surface", "--char") + bound,
+        "simulate": ("--surface", "--char", "--s2", "--q2") + point + bound,
+        "supertrace-fuzz": ("--n", "--seed"),
+        "figure": ("--scene",),
+    }
+    codes = set()
+    for _ in range(400):
+        command = rng.choice(sorted(commands))
+        flags = [f for f in commands[command] if rng.random() < 0.97]
+        if command == "walls":
+            flags.append(rng.choice(("--segment", "--box")))
+        for extra in ("--out", "--svg", rng.choice(sorted(values))):
+            if rng.random() < 0.1:
+                flags.append(extra)
+        argv = [command]
+        for flag in flags:
+            if rng.random() < 0.97:
+                argv.append(f"{flag}={values[flag]()}")
+            else:
+                argv += [flag, values[flag]()]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # the report names the argv
+            pytest.fail(f"{argv}: {exc!r}")
+        capsys.readouterr()
+        assert code in (0, 2, 3, 4), argv
+        codes.add(code)
+    assert codes == {0, 2, 3, 4}

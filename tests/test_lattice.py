@@ -15,7 +15,6 @@ from walland import (
     derived_dual,
     discriminant,
     euler_pairing,
-    intersect,
     tensor_by_K,
     twist_char,
     untwist_char,
@@ -35,10 +34,10 @@ def rand_char(rng, lattice):
 
 def test_intersect_examples(p2, product_surface):
     h = p2.divisor([1])
-    assert intersect(h, h, p2) == 1
-    assert intersect(p2.divisor([0]), h, p2) == 0
+    assert p2.pair(h, h) == 1
+    assert p2.pair(p2.divisor([0]), h) == 0
     hf = product_surface.divisor([1, 1])
-    assert intersect(hf, hf, product_surface) == 2
+    assert product_surface.pair(hf, hf) == 2
 
 
 def test_surface_json_round_trip(p2, quartic, product_surface):

@@ -1,0 +1,54 @@
+"""Source invariants, checked on the syntax trees of src/walland."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "walland"
+
+
+def _nodes():
+    """(file name, enclosing function name or None, node) over the package."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        stack = [(tree, None)]
+        while stack:
+            node, func = stack.pop()
+            yield path.name, func, node
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            stack.extend((child, func) for child in ast.iter_child_nodes(node))
+
+
+def test_no_assert_statements():
+    # invariants are raised errors: python -O strips assert statements
+    found = [
+        f"{name}:{node.lineno}"
+        for name, _, node in _nodes()
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_one_rational_coercion():
+    defs = [
+        (name, node.name)
+        for name, _, node in _nodes()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert [d for d in defs if d[1] in ("_frac", "_charge")] == []
+    assert [d for d in defs if d[1] == "parse_frac"] == [("plane.py", "parse_frac")]
+
+
+def test_one_central_charge_formula():
+    # Re Z = -v2 + q*v0 is written out only in central_charge
+    sites = [
+        (name, func)
+        for name, func, node in _nodes()
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Add)
+        and isinstance(node.left, ast.UnaryOp)
+        and isinstance(node.left.op, ast.USub)
+        and isinstance(node.left.operand, ast.Attribute)
+        and node.left.operand.attr == "v2"
+    ]
+    assert sites == [("stability.py", "central_charge")]

@@ -10,12 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walland import (
+    BoxRegion,
+    CharVec,
+    Mat,
     MixedRadicalError,
     ParabolaShift,
     PlaneLine,
     PlanePoint,
     PreconditionError,
     QuadNum,
+    SchemaError,
+    StabPoint,
+    VTilde,
     collinear,
     line_intersection,
     line_parabola_intersect,
@@ -27,9 +33,42 @@ from walland import (
     segments_intersect,
 )
 
+from walland import jsonio
+from walland.plane import parse_frac
+
 from conftest import rand_frac
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# the one rational coercion
+
+
+def test_parse_frac_contract():
+    f = F(3, 4)
+    assert parse_frac(f) is f
+    assert parse_frac(5) == 5 and type(parse_frac(5)) is F
+    assert parse_frac("-7/4") == F(-7, 4)
+    assert parse_frac(" 2 ") == 2
+    for bad in ("1/0", "nan", "x", "", 0.5, None, [1]):
+        with pytest.raises(SchemaError):
+            parse_frac(bad)
+    assert jsonio.parse_frac is parse_frac
+
+
+def test_floats_rejected_with_schema_error():
+    for build in (
+        lambda: StabPoint.make(0.5, 1),
+        lambda: Mat.make([[0.5]]),
+        lambda: QuadNum(0.5),
+        lambda: PlanePoint.make(1, 0.5, 0),
+        lambda: VTilde.make(1, 0, 0.5),
+        lambda: CharVec.make(1, [0.5], 0),
+        lambda: BoxRegion(0.5, 1, 2, 3),
+    ):
+        with pytest.raises(SchemaError):
+            build()
 
 
 # ---------------------------------------------------------------------------

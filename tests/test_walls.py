@@ -18,6 +18,7 @@ from walland import (
     QuadNum,
     SegmentRegion,
     StabPoint,
+    SurfaceLattice,
     VTilde,
     ZeroChargeError,
     central_charge,
@@ -90,6 +91,23 @@ def test_enumerate_walls_pass_through_character_point(p2):
             assert cand.wall.contains(v.plane_point())
             for w in cand.witnesses:
                 assert wall_of(v, w) == cand.wall
+
+
+def test_enumerate_huge_character_refused_fast(p2):
+    # ch2 steps up to about 10^400 survive the corner-sign cut, so the
+    # scan is refused before it starts
+    seg = SegmentRegion(SP(-1, 3), SP(F(1, 2), 2))
+    for v in (V(1, 0, -(10**400)), V(0, 1, 10**400)):
+        with pytest.raises(PreconditionError, match="witnesses"):
+            enumerate_candidate_walls(v, seg, 1, 1, p2)
+
+
+def test_enumerate_huge_bounds_refused_fast(p2, product_surface):
+    seg = SegmentRegion(SP(-1, 3), SP(F(1, 2), 2))
+    with pytest.raises(PreconditionError, match="pairs"):
+        enumerate_candidate_walls(V(1, 0, -1), seg, 2, 400, product_surface)
+    with pytest.raises(PreconditionError, match="pairs"):
+        enumerate_candidate_walls(V(1, 0, -1), seg, 10**9, 0, p2)
 
 
 def test_enumerate_zero_character_rejected(p2):
@@ -392,3 +410,21 @@ def test_certificate_fuzz_left_side(p2):
             pytest.fail(f"certificate refused: {exc} {exc.payload}")
         assert cert.branch in ("PhaseDominance", "SegmentsIntersect")
         done += 1
+
+
+def test_certificate_equal_chords_branch():
+    # On the blow-up of P2 at a point K is not a multiple of H, so the
+    # twist need not shear the chord: here both chords are one line, the
+    # overlap's simplest rational is s = 0, and the phase test fails there.
+    L = SurfaceLattice.from_dict(
+        {"basis": ["l", "e"], "gram": [["1", "0"], ["0", "-1"]], "H": ["2", "-1"],
+         "D": ["0", "0"], "K": ["-3", "1"], "chiO": "1"}
+    )
+    assert L.pair(L.H, L.K) == -5
+    ch = CharVec.make(1, [1, 4], F(9, 2))
+    with pytest.raises(CertificateFailure) as exc:
+        ext2_vanishing_certificate(SP(F(43, 30), F(29, 25)), vtilde(ch, L), ch, L)
+    assert str(exc.value) == "phase inequality fails at the chord intersection"
+    payload = exc.value.payload
+    assert payload["R"] == {"s": "0", "q": "3/10"}
+    assert (payload["A"], payload["B"]) == (payload["Ap"], payload["Bp"])
