@@ -277,6 +277,13 @@ def main(argv=None) -> int:
         code, text = 3, _error_doc(exc)
     except CertificateFailure as exc:
         code, text = 4, _error_doc(exc)
+    except ValueError as exc:  # str() of an int longer than Python prints
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        code, text = 3, _error_doc(
+            PreconditionError(f"result has a number beyond the {limit}-digit print limit")
+        )
     if args.out:
         try:
             _write(args.out, text)

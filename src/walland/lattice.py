@@ -143,7 +143,7 @@ class SurfaceLattice:
             raise SchemaError(f"surface file not found: {path}") from exc
         except OSError as exc:  # a directory, no permission, ...
             raise SchemaError(f"cannot read {path}: {exc.strerror}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, over-long ints
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
         return SurfaceLattice.from_dict(data)
 

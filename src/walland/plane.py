@@ -225,11 +225,16 @@ def sign_of(x: Coord) -> int:
     return (x > 0) - (x < 0)
 
 
-def _canonical_int_triple(c0: Fraction, c1: Fraction, c2: Fraction):
+def _int_triple(c0: Fraction, c1: Fraction, c2: Fraction):
+    """The triple times the lcm of its denominators: integers, same ratios."""
     lcm = 1
     for f in (c0, c1, c2):
         lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    a = [f.numerator * (lcm // f.denominator) for f in (c0, c1, c2)]
+    return [f.numerator * (lcm // f.denominator) for f in (c0, c1, c2)]
+
+
+def _canonical_int_triple(c0: Fraction, c1: Fraction, c2: Fraction):
+    a = _int_triple(c0, c1, c2)
     g = gcd(gcd(abs(a[0]), abs(a[1])), abs(a[2]))
     if g == 0:
         raise PreconditionError("zero homogeneous triple")

@@ -26,8 +26,10 @@ from .lattice import VTilde, discriminant
 from .plane import (
     PlaneLine,
     PlanePoint,
+    _canonical_int_triple,
+    _cross3,
+    _int_triple,
     line_intersection,
-    line_through,
     parse_frac,
     sign_of,
 )
@@ -295,10 +297,11 @@ def wall_of(v: VTilde, w: VTilde) -> PlaneLine:
     """Line of parameter points where the two charges share a ray."""
     if v.is_zero or w.is_zero:
         raise ZeroChargeError("zero character defines no wall")
-    pv, pw = v.plane_point(), w.plane_point()
-    if pv == pw:
+    # the line through both plane points; its canonical triple ignores scale
+    normal = _cross3(_int_triple(*v.as_tuple()), _int_triple(*w.as_tuple()))
+    if not any(normal):
         raise PreconditionError("projectively identical characters define no wall")
-    return line_through(pv, pw)
+    return PlaneLine(_canonical_int_triple(*normal))
 
 
 def walls_disjoint_above_parabola(v: VTilde, w1: VTilde, w2: VTilde) -> PlanePoint:

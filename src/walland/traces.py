@@ -347,6 +347,20 @@ def _unflatten(source, target, degree, layout, vec) -> HomCochain:
     return HomCochain(source, target, degree, comps)
 
 
+def _d_columns(source, target, degree) -> List[List[Fraction]]:
+    """Images under D of the unit vectors of Hom^degree, flattened."""
+    layout = _basis_layout(source, target, degree)
+    out_layout = _basis_layout(source, target, degree + 1)
+    n = sum(r * c for _, r, c in layout)
+    cols = []
+    for j in range(n):
+        unit = [Fraction(0)] * n
+        unit[j] = Fraction(1)
+        f = _unflatten(source, target, degree, layout, unit)
+        cols.append(_flatten(hom_differential(f), out_layout))
+    return cols
+
+
 def _rref(rows: List[List[Fraction]]):
     """In-place reduced row echelon form; returns pivot column list."""
     pivots = []
@@ -375,28 +389,17 @@ def _rref(rows: List[List[Fraction]]):
     return pivots
 
 
-def _kernel_basis(mat_cols: List[List[Fraction]], n_cols: int) -> List[List[Fraction]]:
-    """Kernel of the matrix whose columns are mat_cols[j] (length m each)."""
-    if n_cols == 0:
-        return []
-    m = len(mat_cols[0]) if mat_cols else 0
-    rows = [[mat_cols[j][i] for j in range(n_cols)] for i in range(m)]
-    if not rows:
-        return [
-            [Fraction(1 if j == t else 0) for j in range(n_cols)]
-            for t in range(n_cols)
-        ]
+def _kernel_basis(rows: List[List[Fraction]], n_cols: int) -> List[List[Fraction]]:
+    """Kernel of the matrix with these rows: one vector per free column of its RREF."""
     pivots = _rref(rows)
-    pivot_set = set(pivots)
     basis = []
     for free in range(n_cols):
-        if free in pivot_set:
+        if free in pivots:
             continue
         vec = [Fraction(0)] * n_cols
         vec[free] = Fraction(1)
         for r, p in enumerate(pivots):
-            if r < len(rows):
-                vec[p] = -rows[r][free]
+            vec[p] = -rows[r][free]
         basis.append(vec)
     return basis
 
@@ -424,58 +427,33 @@ class CohomologyGroup:
 
 
 def cohomology(source: MatrixComplex, target: MatrixComplex, degree: int) -> CohomologyGroup:
-    """ker D^degree / im D^(degree-1), exactly, with cocycle witnesses."""
+    """ker D^degree / im D^(degree-1), exactly, with cocycle witnesses.
+
+    Each matrix is row-reduced once.  The cocycles are the kernel basis of
+    D^degree, one vector per free column of its RREF; the coboundaries are
+    the nonzero RREF rows of the image of D^(degree-1); the representatives
+    are the first cocycles, in order, that are independent of the image and
+    of the representatives before them, read off as the pivot columns past
+    the image's in the RREF of the columns [coboundaries | cocycles].
+    """
     degree = int(degree)
     layout = _basis_layout(source, target, degree)
     n = sum(r * c for _, r, c in layout)
-    if n == 0:
-        return CohomologyGroup(degree, 0, 0, 0, [], [], [])
-
-    def _d_columns(from_degree):
-        """Images of the standard basis of Hom^from_degree under D."""
-        lay = _basis_layout(source, target, from_degree)
-        out_lay = _basis_layout(source, target, from_degree + 1)
-        cols = []
-        for i, r, c in lay:
-            for a in range(r):
-                for b in range(c):
-                    comps = {i: Mat.zero(r, c)}
-                    rows = [[Fraction(0)] * c for _ in range(r)]
-                    rows[a][b] = Fraction(1)
-                    comps[i] = Mat(r, c, rows)
-                    f = HomCochain(source, target, from_degree, comps)
-                    cols.append(_flatten(hom_differential(f), out_lay))
-        return cols
-
-    d_cols = _d_columns(degree)
-    kernel = _kernel_basis(d_cols, n)
-    ker_dim = len(kernel)
-
-    prev_cols = _d_columns(degree - 1)
-    # row space of the image inside ker, tracked by rref over image rows
-    rows = [list(col) for col in prev_cols if any(x != 0 for x in col)]
-    if rows:
-        _rref(rows)
-        rows = [r for r in rows if any(x != 0 for x in r)]
-    im_dim = len(rows)
-    cocycle_basis = [_unflatten(source, target, degree, layout, vec) for vec in kernel]
-    coboundary_basis = [
-        _unflatten(source, target, degree, layout, vec) for vec in rows
-    ]
-
-    reps = []
-    for vec in kernel:
-        trial = rows + [list(vec)]
-        _rref(trial)
-        trial = [r for r in trial if any(x != 0 for x in r)]
-        if len(trial) > len(rows):
-            rows = trial
-            reps.append(_unflatten(source, target, degree, layout, vec))
-    group_dim = ker_dim - im_dim
-    if len(reps) != group_dim:
-        raise InvariantError(f"degree {degree}: {len(reps)} representatives, dimension {group_dim}")
+    kernel = _kernel_basis(list(zip(*_d_columns(source, target, degree))), n)
+    image = _d_columns(source, target, degree - 1)
+    image = image[: len(_rref(image))]  # the nonzero RREF rows come first
+    # columns [image | kernel]: the image's are all pivots, reps the rest
+    pivots = _rref(list(zip(*image, *kernel)))
+    reps = [kernel[p - len(image)] for p in pivots[len(image) :]]
+    dim = len(kernel) - len(image)
+    if len(reps) != dim:
+        raise InvariantError(f"degree {degree}: {len(reps)} representatives, dimension {dim}")
+    reps, cocycles, coboundaries = (
+        [_unflatten(source, target, degree, layout, vec) for vec in vecs]
+        for vecs in (reps, kernel, image)
+    )
     return CohomologyGroup(
-        degree, group_dim, ker_dim, im_dim, reps, cocycle_basis, coboundary_basis
+        degree, dim, len(kernel), len(image), reps, cocycles, coboundaries
     )
 
 

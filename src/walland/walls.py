@@ -144,12 +144,6 @@ class SegmentRegion:
         self.Q = Q
         self.ring = _ring(((P.s, P.q), (Q.s, Q.q)))
 
-    def corners(self):
-        return (self.P, self.Q)
-
-    def q_bounds(self):
-        return (min(self.P.q, self.Q.q), max(self.P.q, self.Q.q))
-
     wall_clip = _wall_clip
 
 
@@ -166,16 +160,6 @@ class BoxRegion:
             StabPoint.make(s, self.q_lo)
         s0, s1, q0, q1 = self.s_lo, self.s_hi, self.q_lo, self.q_hi
         self.ring = _ring(((s0, q0), (s0, q1), (s1, q1), (s1, q0)))  # cyclic
-
-    def corners(self):
-        return tuple(
-            StabPoint.make(s, q)
-            for s in (self.s_lo, self.s_hi)
-            for q in (self.q_lo, self.q_hi)
-        )
-
-    def q_bounds(self):
-        return (self.q_lo, self.q_hi)
 
     wall_clip = _wall_clip
 
@@ -341,9 +325,10 @@ def enumerate_candidate_walls(
     H, D = L.H, L.D
     H2 = L.pair(H, H)
     DD = L.pair(D, D)
-    q_lo, q_hi = region.q_bounds()
-    # max of |Re Z(v)| over the region: linear, so corners suffice
     m = region.ring[0][0]
+    q_lo = Fraction(min(q for _, _, q in region.ring), m)
+    q_hi = Fraction(max(q for _, _, q in region.ring), m)
+    # max of |Re Z(v)| over the region: linear, so corners suffice
     envelope = Fraction(max(abs(q * v.v0 - m * v.v2) for _, _, q in region.ring), m)
     c1_terms = []
     for coords in _iterproduct(

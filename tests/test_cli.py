@@ -60,18 +60,42 @@ def test_charge_kernel_reports_null_phase(capsys):
     assert doc["phase"] is None
 
 
-def test_charge_huge_character_no_traceback():
-    # the display phase of a charge beyond float range must not crash
+def run_process(*argv):
+    """The CLI in a fresh interpreter: (exit code, stdout, stderr)."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "walland.cli", "charge", "--surface", P2,
-         "--char", "1,0,-1e400", "--s=0", "--q=1"],
+        [sys.executable, "-m", "walland.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert proc.returncode in (0, 2, 3, 4)
-    assert "Traceback" not in proc.stderr + proc.stdout
-    assert json.loads(proc.stdout)["phase_approx"] == 0.0
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_charge_huge_character_no_traceback():
+    # the display phase of a charge beyond float range must not crash
+    code, out, err = run_process(
+        "charge", "--surface", P2, "--char", "1,0,-1e400", "--s=0", "--q=1"
+    )
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err + out
+    assert json.loads(out)["phase_approx"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("charge", "--char", "1,0,-1e5000", "--s=0", "--q=1"),
+        ("dim", "--char", "1,0,1e5000"),
+        ("dim", "--char", "1e3000,0,1e3000"),  # r*e outgrows the limit
+        ("ext2", "--char", "1,0,-1e5000", "--s=-1", "--q=1"),
+    ],
+)
+def test_result_too_long_to_print_exit_3(argv):
+    # exact results past Python's int-to-str digit limit cannot be printed
+    code, out, err = run_process(argv[0], "--surface", P2, *argv[1:])
+    assert code == 3
+    assert "Traceback" not in err + out
+    assert json.loads(out)["error"] == "PreconditionError"
 
 
 def test_charge_boundary_point_exit_3(capsys):
@@ -272,7 +296,9 @@ def test_unreadable_surface_exit_2(capsys, tmp_path):
     binary.write_bytes(b"\x7fELF\xd0\xff\xfe\x00")
     deep = tmp_path / "deep.json"  # nesting beyond the JSON decoder's recursion
     deep.write_text("[" * 100_000)
-    for surface in (str(tmp_path), str(binary), str(deep)):
+    long_int = tmp_path / "long_int.json"  # an int literal past the digit limit
+    long_int.write_text('{"chiO": 1' + "0" * 5000 + "}")
+    for surface in (str(tmp_path), str(binary), str(deep), str(long_int)):
         code, doc = run_json(
             capsys, "charge", "--surface", surface, "--char", "1,0,0",
             "--s=-1", "--q=1",
