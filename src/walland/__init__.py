@@ -35,15 +35,11 @@ from .plane import (
     PlaneLine,
     PlanePoint,
     QuadNum,
-    collinear,
     line_intersection,
     line_parabola_intersect,
     line_through,
-    orientation,
-    orientation_xy,
     parabola_translate,
     rational_strictly_between,
-    segments_intersect,
 )
 from .stability import (
     ChargeValue,

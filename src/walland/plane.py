@@ -353,30 +353,6 @@ def line_intersection(l1: PlaneLine, l2: PlaneLine) -> PlanePoint:
     return PlanePoint.make(*_cross3(l1.coeffs, l2.coeffs))
 
 
-def collinear(p: PlanePoint, q: PlanePoint, r: PlanePoint) -> bool:
-    """Exact 3x3 determinant test on homogeneous coordinates."""
-    det = (
-        p.h[0] * (q.h[1] * r.h[2] - q.h[2] * r.h[1])
-        - p.h[1] * (q.h[0] * r.h[2] - q.h[2] * r.h[0])
-        + p.h[2] * (q.h[0] * r.h[1] - q.h[1] * r.h[0])
-    )
-    return det == 0
-
-
-def orientation(p: PlanePoint, q: PlanePoint, r: PlanePoint) -> int:
-    """Sign of the signed area of the affine triangle p, q, r."""
-    for pt in (p, q, r):
-        if pt.at_infinity:
-            raise PreconditionError("orientation needs affine points")
-    return orientation_xy(p.affine_pair(), q.affine_pair(), r.affine_pair())
-
-
-def orientation_xy(p, q, r) -> int:
-    """Orientation of raw coordinate pairs; coordinates may be QuadNum."""
-    det = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-    return sign_of(det)
-
-
 @dataclass(frozen=True)
 class ParabolaShift:
     """Reference parabola y = x^2/2 + C."""
@@ -434,47 +410,6 @@ def parabola_translate(p: PlanePoint, delta) -> PlanePoint:
     par = ParabolaShift.through(p.x, p.y)
     nx = p.x + delta
     return PlanePoint.affine(nx, par.height(nx))
-
-
-def _on_segment_collinear(p, q, r) -> bool:
-    # r assumed collinear with p, q: is it inside the closed box?
-    return (
-        min_coord(p[0], q[0]) <= r[0] <= max_coord(p[0], q[0])
-        and min_coord(p[1], q[1]) <= r[1] <= max_coord(p[1], q[1])
-    )
-
-
-def min_coord(a, b):
-    return a if sign_of(a - b) <= 0 else b
-
-
-def max_coord(a, b):
-    return a if sign_of(a - b) >= 0 else b
-
-
-def segments_intersect(s1, s2) -> bool:
-    """Closed-segment intersection test via exact orientation signs.
-
-    Each segment is a pair of (x, y) coordinate pairs; coordinates may be
-    rational or QuadNum, but all irrational ones must share one radicand.
-    """
-    p1, p2 = s1
-    q1, q2 = s2
-    o1 = orientation_xy(p1, p2, q1)
-    o2 = orientation_xy(p1, p2, q2)
-    o3 = orientation_xy(q1, q2, p1)
-    o4 = orientation_xy(q1, q2, p2)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and _on_segment_collinear(p1, p2, q1):
-        return True
-    if o2 == 0 and _on_segment_collinear(p1, p2, q2):
-        return True
-    if o3 == 0 and _on_segment_collinear(q1, q2, p1):
-        return True
-    if o4 == 0 and _on_segment_collinear(q1, q2, p2):
-        return True
-    return False
 
 
 def rational_strictly_between(lo, hi) -> Fraction:

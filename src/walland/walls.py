@@ -72,14 +72,21 @@ from .stability import (
 
 @dataclass(frozen=True)
 class EnumerationBounds:
-    """Finite search box: |rank| <= rank_bound, |c1 coords| <= c1_bound."""
+    """Finite search box: |rank| <= rank_bound, |c1 coords| <= c1_bound.
+
+    Both bounds must be nonnegative ints; a float or a bool raises
+    PreconditionError.
+    """
 
     rank_bound: int
     c1_bound: int
 
     def __post_init__(self):
-        if self.rank_bound < 0 or self.c1_bound < 0:
-            raise PreconditionError("enumeration bounds must be nonnegative")
+        for b in (self.rank_bound, self.c1_bound):
+            if type(b) is not int or b < 0:
+                raise PreconditionError(
+                    f"enumeration bounds must be nonnegative ints, not {b!r}"
+                )
 
     @staticmethod
     def coerce(bounds) -> "EnumerationBounds":
@@ -91,7 +98,7 @@ class EnumerationBounds:
             rb, cb = bounds
         except (TypeError, ValueError) as exc:
             raise PreconditionError(f"bad enumeration bounds: {bounds!r}") from exc
-        return EnumerationBounds(int(rb), int(cb))
+        return EnumerationBounds(rb, cb)
 
 
 def _line_eval(wall: PlaneLine, s: Fraction, q: Fraction) -> Fraction:
@@ -165,7 +172,7 @@ class BoxRegion:
 
 
 # ---------------------------------------------------------------------------
-# destabilization tests along a wall clip
+# the destabilizing ratio on a wall
 # ---------------------------------------------------------------------------
 
 
@@ -177,71 +184,17 @@ def _proportional(v: VTilde, w: VTilde) -> bool:
     )
 
 
-def _ratio_at(p, v: VTilde, w: VTilde):
-    """t with Z(w) = t * Z(v) at p = (s, q), or None."""
-    re_v, im_v = central_charge(p, v)
-    re_w, im_w = central_charge(p, w)
-    if re_v == 0 and im_v == 0:
-        return None
-    t = im_w / im_v if im_v != 0 else re_w / re_v
-    if re_w == t * re_v and im_w == t * im_v:
-        return t
-    return None
+def _ratio(v: VTilde, w: VTilde, vertical: bool, x):
+    """(n, d) with Z(w) = (n / d) * Z(v) where wall_of(v, w) has coordinate x.
 
-
-def _span_test_params(p0, p1, v: VTilde, w: VTilde):
-    """Rational test parameters along an affine clip p0 -> p1.
-
-    Breakpoints are the roots of the linear charge components and of the
-    ratio-equals-plus-minus-one combinations; together with interval
-    midpoints they decide existence questions for the ratio exactly.
+    Off a vertical wall x is s, and t = Im Z(w) / Im Z(v) depends on s
+    alone; along a vertical wall Im Z(v) vanishes, x is q, and
+    t = Re Z(w) / Re Z(v) depends on q alone.  d = 0 only at v's plane
+    point, where Z(v) = 0.
     """
-    def lin(x: VTilde):
-        re0, im0 = central_charge(p0, x)
-        re1, im1 = central_charge(p1, x)
-        return (re0, re1 - re0), (im0, im1 - im0)
-
-    (rv, drv), (iv, div_) = lin(v)
-    (rw, drw), (iw, diw) = lin(w)
-    cuts = {Fraction(0), Fraction(1)}
-    for a, b in (
-        (rv, drv),
-        (iv, div_),
-        (rw, drw),
-        (iw, diw),
-        (rw - rv, drw - drv),
-        (rw + rv, drw + drv),
-        (iw - iv, diw - div_),
-        (iw + iv, diw + div_),
-    ):
-        if b != 0:
-            t = -a / b
-            if 0 < t < 1:
-                cuts.add(t)
-    grid = sorted(cuts)
-    params = list(grid)
-    for a, b in zip(grid, grid[1:]):
-        params.append((a + b) / 2)
-    return sorted(params)
-
-
-def _destab_exists(v: VTilde, w: VTilde, clip) -> bool:
-    """Is w numerically destabilizing somewhere on the clip?
-
-    Sign-agnostic: requires Z(w) = t * Z(v) with t != 0 and t^2 < 1 at
-    some point of the clip, so both w and v - w carve out proper pieces
-    of the charge regardless of heart orientation.
-    """
-    kind, pts = clip
-    if kind == "span":
-        (s0, q0), (s1, q1) = pts
-        params = _span_test_params(pts[0], pts[1], v, w)
-        pts = [(s0 + t * (s1 - s0), q0 + t * (q1 - q0)) for t in params]
-    for p in pts:
-        ratio = _ratio_at(p, v, w)
-        if ratio is not None and ratio != 0 and ratio * ratio < 1:
-            return True
-    return False
+    if vertical:
+        return central_charge((0, x), w).re, central_charge((0, x), v).re
+    return central_charge((x, 0), w).im, central_charge((x, 0), v).im
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +262,18 @@ def enumerate_candidate_walls(
     linear in the ch2 step k.  Walls of v form the pencil through v's plane
     point and det(v, w, corner) is linear in k, so the k whose wall misses
     the region are cut out in closed form by corner signs before any
-    witness is built.  Kept are the survivors whose ratio condition is
-    achieved somewhere on the meet.  PreconditionError is raised when the
-    bounds allow more than _SCAN_LIMIT (rank, c1) pairs, and before scanning
-    any pair whose survivors would take their total over _SCAN_LIMIT.
+    witness is built.  Kept are the survivors with Z(w) = t * Z(v), t != 0
+    and t^2 < 1 somewhere on the meet.  On the wall t = n / d is a ratio of
+    affine functions of one coordinate: n, d = Im Z(w), Im Z(v) depend on s
+    alone, and on a vertical wall n, d = Re Z(w), Re Z(v) depend on q alone.
+    So a point meet is tested at its point, and a span at its ends, where
+    the wall passes the plane points of w, v - w and v + w (the only sign
+    changes of n, d - n and d + n), and the midpoints between these.
+    PreconditionError is raised when the bounds allow more than _SCAN_LIMIT
+    (rank, c1) pairs, and before scanning any pair whose survivors would
+    take their total over _SCAN_LIMIT.
     """
-    bounds = EnumerationBounds(int(rank_bound), int(c1_bound))
+    bounds = EnumerationBounds(rank_bound, c1_bound)
     if v.is_zero:
         raise ZeroChargeError("zero character has no walls")
     pairs = (2 * bounds.rank_bound + 1) * (2 * bounds.c1_bound + 1) ** L.rank
@@ -371,7 +330,22 @@ def enumerate_candidate_walls(
                 if _proportional(v, w):  # also w = 0 and w = v
                     continue
                 wall = wall_of(v, w)
-                if not _destab_exists(v, w, region.wall_clip(wall)):
+                vertical = wall.is_vertical
+                _, pts = region.wall_clip(wall)
+                xs = [q if vertical else s for s, q in pts]
+                if len(xs) == 2:
+                    # n, d - n and d + n are affine in x and change sign only
+                    # where the wall passes the plane points of w, v - w and
+                    # v + w: test the ends, those points and the midpoints
+                    x0, x1 = xs
+                    (n0, d0), (n1, d1) = (_ratio(v, w, vertical, x) for x in xs)
+                    for f0, f1 in ((n0, n1), (d0 - n0, d1 - n1), (d0 + n0, d1 + n1)):
+                        if f0 * f1 < 0:
+                            xs.append(x0 + (x1 - x0) * f0 / (f0 - f1))
+                    xs.sort()
+                    xs += [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+                ratios = (_ratio(v, w, vertical, x) for x in xs)
+                if not any(n != 0 and n * n < d * d for n, d in ratios):
                     continue
                 found.setdefault(wall.coeffs, {})[w.as_tuple()] = w
     out = []
@@ -610,11 +584,13 @@ def simulate_destabilization_paths(
             R = segment_point(P, Q, t_star)
             zR = central_charge(R, char)
             lift_R = entry.transport(canonical_ray(*zR))
+            vertical = cand.wall.is_vertical
+            x = R.q if vertical else R.s
             splits = []
             seen = set()
             for w in cand.witnesses:
-                ratio = _ratio_at(R, char, w)
-                if ratio is None or not (0 < ratio < 1):
+                n, d = _ratio(char, w, vertical, x)
+                if d == 0 or not (0 < n / d < 1):
                     continue
                 u = char - w
                 pair_key = tuple(sorted((w.as_tuple(), u.as_tuple())))

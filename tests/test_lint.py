@@ -39,16 +39,41 @@ def test_one_rational_coercion():
     assert [d for d in defs if d[1] == "parse_frac"] == [("plane.py", "parse_frac")]
 
 
-def test_one_central_charge_formula():
-    # Re Z = -v2 + q*v0 is written out only in central_charge
-    sites = [
-        (name, func)
-        for name, func, node in _nodes()
-        if isinstance(node, ast.BinOp)
+def _writes_re_z(node) -> bool:
+    # -x.v2 + <expr>
+    return (
+        isinstance(node, ast.BinOp)
         and isinstance(node.op, ast.Add)
         and isinstance(node.left, ast.UnaryOp)
         and isinstance(node.left.op, ast.USub)
         and isinstance(node.left.operand, ast.Attribute)
         and node.left.operand.attr == "v2"
+    )
+
+
+def _writes_im_z(node) -> bool:
+    # x.v1 - <expr> * x.v0
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and isinstance(node.left, ast.Attribute)
+        and node.left.attr == "v1"
+        and isinstance(node.right, ast.BinOp)
+        and isinstance(node.right.op, ast.Mult)
+        and isinstance(node.right.right, ast.Attribute)
+        and node.right.right.attr == "v0"
+    )
+
+
+def test_one_central_charge_formula():
+    # Re Z = -v2 + q*v0 and Im Z = v1 - s*v0 are written out only in central_charge
+    sites = sorted(
+        (name, func, part)
+        for name, func, node in _nodes()
+        for part, writes in (("re", _writes_re_z), ("im", _writes_im_z))
+        if writes(node)
+    )
+    assert sites == [
+        ("stability.py", "central_charge", "im"),
+        ("stability.py", "central_charge", "re"),
     ]
-    assert sites == [("stability.py", "central_charge")]

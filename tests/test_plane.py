@@ -6,8 +6,6 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from walland import (
     BoxRegion,
@@ -22,15 +20,11 @@ from walland import (
     SchemaError,
     StabPoint,
     VTilde,
-    collinear,
     line_intersection,
     line_parabola_intersect,
     line_through,
-    orientation,
-    orientation_xy,
     parabola_translate,
     rational_strictly_between,
-    segments_intersect,
 )
 
 from walland import jsonio
@@ -191,42 +185,6 @@ def test_line_contains_is_exact():
     assert not line.contains(PlanePoint.affine(F(1, 3), F(7, 5) + F(1, 10 ** 9)))
 
 
-def test_collinear_examples():
-    a = PlanePoint.make(1, 0, 0)
-    assert collinear(a, a, a)
-    assert collinear(a, PlanePoint.make(1, 1, F(1, 2)), PlanePoint.make(1, 2, 1))
-    assert not collinear(a, PlanePoint.make(1, 1, F(1, 2)), PlanePoint.make(1, 2, 2))
-
-
-def test_orientation_examples():
-    p = PlanePoint.affine(0, 0)
-    q = PlanePoint.affine(1, 0)
-    assert orientation(p, q, PlanePoint.affine(0, 1)) == 1
-    assert orientation(p, q, PlanePoint.affine(2, 0)) == 0
-    # the phase-comparison figure: x(E) = (-3,-2) on the left of P -> x(F)
-    o = orientation(
-        PlanePoint.affine(F(1, 2), F(3, 2)),
-        PlanePoint.affine(3, -1),
-        PlanePoint.affine(-3, -2),
-    )
-    assert o == -1
-    with pytest.raises(PreconditionError):
-        orientation(p, q, PlanePoint.make(0, 1, 0))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9),
-       st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
-def test_orientation_permutation_signs(ax, ay, bx, by, cx, cy):
-    p = PlanePoint.affine(ax, ay)
-    q = PlanePoint.affine(bx, by)
-    r = PlanePoint.affine(cx, cy)
-    o = orientation(p, q, r)
-    assert o == -orientation(p, r, q)
-    assert o == orientation(q, r, p) == orientation(r, p, q)
-    assert (o == 0) == collinear(p, q, r)
-
-
 # ---------------------------------------------------------------------------
 # parabola
 
@@ -302,34 +260,6 @@ def test_parabola_translate_preserves_shift():
         assert q.x == x + d
 
 
-# ---------------------------------------------------------------------------
-# segments
-
-
-def test_segments_disjoint_chords():
-    s1 = ((QuadNum(-2), QuadNum(2)), (QuadNum(0), QuadNum(0)))
-    s2 = ((QuadNum(-5), QuadNum(F(25, 2))), (QuadNum(-3), QuadNum(F(9, 2))))
-    assert not segments_intersect(s1, s2)
-
-
-def test_segments_crossing_and_touching():
-    assert segments_intersect(((0, 0), (2, 2)), ((0, 2), (2, 0)))
-    # closed convention: shared endpoint counts
-    assert segments_intersect(((0, 0), (1, 1)), ((1, 1), (5, 0)))
-    assert segments_intersect(((0, 0), (4, 4)), ((2, 2), (9, 2)))
-    assert not segments_intersect(((0, 0), (1, 0)), ((0, 1), (1, 1)))
-
-
-def test_segments_quadnum_coordinates():
-    r2 = QuadNum(0, 1, 2)
-    # vertical through x = sqrt(2) against the unit-ish horizontal box edge
-    s1 = ((r2, QuadNum(-1)), (r2, QuadNum(3)))
-    s2 = ((QuadNum(0), QuadNum(1)), (QuadNum(2), QuadNum(1)))
-    assert segments_intersect(s1, s2)
-    s3 = ((QuadNum(0), QuadNum(1)), (QuadNum(1), QuadNum(1)))  # stops left of sqrt 2
-    assert not segments_intersect(s1, s3)
-
-
 def test_line_intersection_and_between():
     l1 = PlaneLine.make(0, 1, 0)
     l2 = PlaneLine.make(-1, 0, 1)
@@ -367,8 +297,3 @@ def test_rational_strictly_between_is_exact_and_simplest():
         for den in range(1, min(r.denominator, 40)):
             num = math.floor(lo.approx() * den) - 1
             assert not any(lo < F(n, den) < hi for n in range(num, num + 4))
-
-
-def test_orientation_xy_accepts_quadnum():
-    r3 = QuadNum(0, 1, 3)
-    assert orientation_xy((QuadNum(0), QuadNum(0)), (QuadNum(1), QuadNum(0)), (r3, r3)) == 1

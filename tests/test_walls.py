@@ -1,5 +1,6 @@
 """Wall enumeration, phase-bound intervals, path simulation, certificates."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -33,6 +34,7 @@ from walland import (
     vtilde,
     wall_of,
 )
+from walland.jsonio import dumps_canonical
 
 from conftest import rand_frac, rand_stab
 
@@ -46,9 +48,19 @@ SP = StabPoint.make
 # ---------------------------------------------------------------------------
 
 
-def test_enumeration_bounds_validation():
+def test_enumeration_bounds_validation(p2):
     with pytest.raises(PreconditionError):
         EnumerationBounds(-1, 2)
+    # a float or bool bound is refused, never truncated to an int
+    for bad in ((2.9, 5), (2, 5.5), (True, 5), (3, False), (2.0, 5)):
+        with pytest.raises(PreconditionError):
+            EnumerationBounds(*bad)
+        with pytest.raises(PreconditionError):
+            EnumerationBounds.coerce(bad)
+    with pytest.raises(PreconditionError):
+        enumerate_candidate_walls(V(1, 0, 0), BoxRegion(-1, 1, 1, 2), 2.9, 5.5, p2)
+    with pytest.raises(PreconditionError):
+        simulate_destabilization_paths(SP(0, 1), SP(1, 2), V(1, 0, -1), (True, 5.9), p2)
     assert EnumerationBounds.coerce((2, 3)) == EnumerationBounds(2, 3)
     with pytest.raises(PreconditionError):
         EnumerationBounds.coerce(None)
@@ -253,6 +265,35 @@ def test_simulate_split_conservation(p2):
                 assert zR.re * zw.im == zR.im * zw.re
 
     _walk(root, check)
+
+
+# instances 3, 8, 27 and 28 of the criterion-2 corpus (seed 1002): (v, P, Q)
+_SPLIT_CORPUS = (
+    ((1, 1, F(-11, 2)), (F(3, 2), F(33, 8)), (F(-11, 2), F(863, 56))),
+    ((2, 2, -1), (F(9, 4), F(403, 96)), (F(-12, 7), F(948, 245))),
+    ((3, 1, F(-15, 2)), (1, F(11, 6)), (F(-1, 3), F(47, 36))),
+    ((3, -5, F(-1, 2)), (F(5, 3), F(269, 90)), (F(-9, 5), F(128, 25))),
+)
+# sha256 of the canonical JSON of their trees
+_SPLIT_DIGEST = "7873fbef6032aea2f4259247a1e7d56b76d6d6e41ec906fa5b089b149203ce66"
+
+
+def test_simulate_split_choice_pinned(p2):
+    # every split below is chosen by the ratio test at its crossing, and
+    # some crossings are on vertical walls, where the ratio is Re/Re
+    trees = []
+    kinds = set()
+
+    def check(node):
+        kinds.update(ev.wall.is_vertical for ev in node.events)
+
+    for v, P, Q in _SPLIT_CORPUS:
+        root = simulate_destabilization_paths(SP(*P), SP(*Q), V(*v), (3, 5), p2)
+        _walk(root, check)
+        trees.append(root.to_dict())
+    assert kinds == {False, True}
+    digest = hashlib.sha256(dumps_canonical(trees).encode()).hexdigest()
+    assert digest == _SPLIT_DIGEST
 
 
 def test_simulate_leaves_in_interval_fuzz(p2):
