@@ -160,6 +160,8 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_supertrace_fuzz(args) -> str:
+    if args.n < 0:
+        raise PreconditionError(f"--n must be nonnegative, not {args.n}")
     seed = args.seed
     if seed is None:
         try:

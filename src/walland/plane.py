@@ -371,10 +371,6 @@ class ParabolaShift:
     def height(self, x):
         return x * x / 2 + self.C
 
-    def side(self, x, y) -> int:
-        """+1 above, 0 on, -1 below (exact; accepts QuadNum)."""
-        return sign_of(y - x * x / 2 - self.C)
-
 
 def line_parabola_intersect(line: PlaneLine, parabola: ParabolaShift):
     """Affine intersection points of a line with y = x^2/2 + C.

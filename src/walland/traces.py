@@ -129,9 +129,9 @@ class MatrixComplex:
     __slots__ = ("dims", "diffs")
 
     def __init__(self, dims, diffs):
-        dims = tuple(int(d) for d in dims)
-        if not dims or any(d < 0 for d in dims):
-            raise DimensionMismatch("complex needs nonnegative term dimensions")
+        dims = tuple(dims)
+        if not dims or any(type(d) is not int or d < 0 for d in dims):
+            raise DimensionMismatch("complex needs nonnegative int term dimensions")
         diffs = tuple(diffs)
         if len(diffs) != len(dims) - 1:
             raise DimensionMismatch("complex needs one differential per adjacent pair")
@@ -175,6 +175,13 @@ class MatrixComplex:
         }
 
 
+def _degree(k) -> int:
+    # an int: a bool or a float is refused, never truncated
+    if type(k) is not int:
+        raise PreconditionError(f"cochain degree must be an int, not {k!r}")
+    return k
+
+
 class HomCochain:
     """Degree-k collection of maps source^i -> target^(i+k)."""
 
@@ -183,7 +190,7 @@ class HomCochain:
     def __init__(self, source: MatrixComplex, target: MatrixComplex, degree: int, comps):
         self.source = source
         self.target = target
-        self.degree = int(degree)
+        self.degree = _degree(degree)
         filled: Dict[int, Mat] = {}
         for i in self._support(source, target, self.degree):
             want = (target.dims[i + self.degree], source.dims[i])
@@ -436,7 +443,7 @@ def cohomology(source: MatrixComplex, target: MatrixComplex, degree: int) -> Coh
     of the representatives before them, read off as the pivot columns past
     the image's in the RREF of the columns [coboundaries | cocycles].
     """
-    degree = int(degree)
+    degree = _degree(degree)
     layout = _basis_layout(source, target, degree)
     n = sum(r * c for _, r, c in layout)
     kernel = _kernel_basis(list(zip(*_d_columns(source, target, degree))), n)

@@ -120,7 +120,8 @@ def _wall_clip(region, wall: PlaneLine):
     Walks the region's edges in cyclic order, collecting the corners on
     the line and the crossings of edges whose ends lie strictly on
     opposite sides; a line meets a convex region in at most two of them.
-    Returns None, ("point", [(s, q)]) or ("span", [(s0, q0), (s1, q1)]).
+    Returns None or the meet points [(s, q)] or [(s0, q0), (s1, q1)]: a
+    witness is decided at these points alone, see enumerate_candidate_walls.
     """
     a, b, c = wall.coeffs
     ring = region.ring
@@ -138,9 +139,7 @@ def _wall_clip(region, wall: PlaneLine):
             continue
         if p not in pts:
             pts.append(p)
-    if not pts:
-        return None
-    return ("point" if len(pts) == 1 else "span", pts)
+    return pts or None
 
 
 class SegmentRegion:
@@ -266,9 +265,11 @@ def enumerate_candidate_walls(
     and t^2 < 1 somewhere on the meet.  On the wall t = n / d is a ratio of
     affine functions of one coordinate: n, d = Im Z(w), Im Z(v) depend on s
     alone, and on a vertical wall n, d = Re Z(w), Re Z(v) depend on q alone.
-    So a point meet is tested at its point, and a span at its ends, where
-    the wall passes the plane points of w, v - w and v + w (the only sign
-    changes of n, d - n and d + n), and the midpoints between these.
+    A witness is tested only at the points wall_clip returns, its one point
+    or the two ends of a span: the Bogomolov bounds on k put the plane
+    points of w and v - w on or below the parabola and every clip lies
+    strictly above it, so along a clip only d + n can change sign, once,
+    and the kept part of the clip is an interval that holds an end.
     PreconditionError is raised when the bounds allow more than _SCAN_LIMIT
     (rank, c1) pairs, and before scanning any pair whose survivors would
     take their total over _SCAN_LIMIT.
@@ -331,20 +332,10 @@ def enumerate_candidate_walls(
                     continue
                 wall = wall_of(v, w)
                 vertical = wall.is_vertical
-                _, pts = region.wall_clip(wall)
-                xs = [q if vertical else s for s, q in pts]
-                if len(xs) == 2:
-                    # n, d - n and d + n are affine in x and change sign only
-                    # where the wall passes the plane points of w, v - w and
-                    # v + w: test the ends, those points and the midpoints
-                    x0, x1 = xs
-                    (n0, d0), (n1, d1) = (_ratio(v, w, vertical, x) for x in xs)
-                    for f0, f1 in ((n0, n1), (d0 - n0, d1 - n1), (d0 + n0, d1 + n1)):
-                        if f0 * f1 < 0:
-                            xs.append(x0 + (x1 - x0) * f0 / (f0 - f1))
-                    xs.sort()
-                    xs += [(a + b) / 2 for a, b in zip(xs, xs[1:])]
-                ratios = (_ratio(v, w, vertical, x) for x in xs)
+                ratios = (
+                    _ratio(v, w, vertical, q if vertical else s)
+                    for s, q in region.wall_clip(wall)
+                )
                 if not any(n != 0 and n * n < d * d for n, d in ratios):
                     continue
                 found.setdefault(wall.coeffs, {})[w.as_tuple()] = w
@@ -590,7 +581,7 @@ def simulate_destabilization_paths(
             seen = set()
             for w in cand.witnesses:
                 n, d = _ratio(char, w, vertical, x)
-                if d == 0 or not (0 < n / d < 1):
+                if not 0 < n * d < d * d:
                     continue
                 u = char - w
                 pair_key = tuple(sorted((w.as_tuple(), u.as_tuple())))

@@ -238,6 +238,16 @@ def test_supertrace_fuzz_clean(capsys):
     assert doc == {"n": 50, "seed": 7, "violations": 0}
 
 
+def test_supertrace_fuzz_negative_n_exit_3(capsys):
+    # a negative count is refused, not reported as a run that never happened
+    code, doc = run_json(capsys, "supertrace-fuzz", "--n", "-3", "--seed", "7")
+    assert code == 3
+    assert doc["error"] == "PreconditionError"
+    code, doc = run_json(capsys, "supertrace-fuzz", "--n", "0", "--seed", "7")
+    assert code == 0
+    assert doc == {"n": 0, "seed": 7, "violations": 0}
+
+
 def test_supertrace_fuzz_env_seed(capsys, monkeypatch):
     monkeypatch.setenv("WALLAND_SEED", "9")
     code, doc = run_json(capsys, "supertrace-fuzz", "--n", "10")

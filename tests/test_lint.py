@@ -77,3 +77,30 @@ def test_one_central_charge_formula():
         ("stability.py", "central_charge", "im"),
         ("stability.py", "central_charge", "re"),
     ]
+
+
+def _callee(node) -> str:
+    f = node.func
+    if isinstance(f, ast.Name):
+        return f.id
+    if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+        return f"{f.value.id}.{f.attr}"
+    return ""
+
+
+def test_floats_only_in_display_code():
+    # no float ever decides anything: floats are made only to be shown
+    made = {"float", "round", "math.sqrt", "math.atan2", "sqrt", "atan2"}
+    sites = sorted(
+        {
+            (name, func)
+            for name, func, node in _nodes()
+            if isinstance(node, ast.Call) and _callee(node) in made
+        }
+    )
+    assert [s for s in sites if s[0] != "svgfig.py"] == [
+        ("cli.py", "_cmd_charge"),  # the phase shown beside the exact ray
+        ("plane.py", "approx"),  # QuadNum.approx
+        ("stability.py", "theta_approx"),
+        ("stability.py", "to_dict"),  # LiftedPhase and PhaseValue round approx
+    ]

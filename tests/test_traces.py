@@ -50,6 +50,21 @@ def test_complex_validation():
     MatrixComplex((1, 1, 1), (d, Mat.zero(1, 1)))  # fine
 
 
+def test_shapes_and_degrees_must_be_ints():
+    # a float, a bool or a string is refused, never truncated to an int
+    for bad in ([2.7], [True], ["x"], [1, 1.0]):
+        with pytest.raises(DimensionMismatch):
+            MatrixComplex(bad, [Mat.zero(1, 1)] * (len(bad) - 1))
+    C = two_term(1)
+    for bad in (0.9, 1.0, True, "0"):
+        with pytest.raises(PreconditionError):
+            HomCochain(C, C, bad, {})
+        with pytest.raises(PreconditionError):
+            cohomology(C, C, bad)
+    assert HomCochain(C, C, 1, {}).degree == 1
+    assert cohomology(C, C, 0).degree == 0
+
+
 def test_mat_arithmetic():
     a = Mat.make([[1, 2], [3, 4]])
     b = Mat.make([[0, 1], [1, 0]])
