@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DimensionMismatch, InvariantError, PreconditionError
@@ -25,8 +26,9 @@ class Mat:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data):
-        if rows < 0 or cols < 0:
-            raise DimensionMismatch("negative matrix shape")
+        # an int shape: a bool or a float is refused, never carried along
+        if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+            raise DimensionMismatch(f"matrix shape {(rows, cols)!r} is not two nonnegative ints")
         data = tuple(tuple(parse_frac(x) for x in row) for row in data)
         if len(data) != rows or any(len(r) != cols for r in data):
             raise DimensionMismatch("matrix data does not match its shape")
@@ -266,22 +268,21 @@ class HomCochain:
 
 
 def hom_differential(f: HomCochain) -> HomCochain:
-    """D(f)^i = d_target^(i+k) f^i - (-1)^k f^(i+1) d_source^i."""
+    """D(f)^i = d_target^(i+k) f^i - (-1)^k f^(i+1) d_source^i.
+
+    Computed as the sum of the columns of D (`_d_columns`, the one place
+    the formula is written) weighted by the entries of f.
+    """
     k = f.degree
-    sign = -1 if k % 2 else 1
-    out: Dict[int, Mat] = {}
-    for i in HomCochain._support(f.source, f.target, k + 1):
-        acc = Mat.zero(f.target.dims[i + k + 1], f.source.dims[i])
-        d_t = f.target.diff(i + k)
-        fi = f.component(i)
-        if d_t is not None and fi is not None:
-            acc = acc + d_t * fi
-        d_s = f.source.diff(i)
-        fi1 = f.component(i + 1)
-        if d_s is not None and fi1 is not None:
-            acc = acc - (fi1 * d_s).scale(sign)
-        out[i] = acc
-    return HomCochain(f.source, f.target, k + 1, out)
+    layout = _basis_layout(f.source, f.target, k)
+    out_layout = _basis_layout(f.source, f.target, k + 1)
+    vec = [Fraction(0)] * sum(r * c for _, r, c in out_layout)
+    for x, col in zip(_flatten(f, layout), _d_columns(f.source, f.target, k)):
+        if x:
+            for j, y in enumerate(col):
+                if y:
+                    vec[j] += x * y
+    return _unflatten(f.source, f.target, k + 1, out_layout, vec)
 
 
 def compose(a: HomCochain, b: HomCochain) -> HomCochain:
@@ -355,44 +356,73 @@ def _unflatten(source, target, degree, layout, vec) -> HomCochain:
 
 
 def _d_columns(source, target, degree) -> List[List[Fraction]]:
-    """Images under D of the unit vectors of Hom^degree, flattened."""
-    layout = _basis_layout(source, target, degree)
-    out_layout = _basis_layout(source, target, degree + 1)
-    n = sum(r * c for _, r, c in layout)
+    """Images under D of the unit vectors of Hom^degree, flattened.
+
+    Written entrywise from the differentials: the unit cochain E at
+    (component i, row a, col b) of degree k maps to column a of
+    d_target^(i+k), placed at column b of output component i, minus (-1)^k
+    times row b of d_source^(i-1), placed at row a of output component i-1.
+    """
+    k = degree
+    sign = 1 if k % 2 else -1  # -(-1)^k
+    offset, m = {}, 0
+    for i, r, c in _basis_layout(source, target, k + 1):
+        offset[i], m = m, m + r * c
     cols = []
-    for j in range(n):
-        unit = [Fraction(0)] * n
-        unit[j] = Fraction(1)
-        f = _unflatten(source, target, degree, layout, unit)
-        cols.append(_flatten(hom_differential(f), out_layout))
+    for i, r, c in _basis_layout(source, target, k):
+        d_t, d_s = target.diff(i + k), source.diff(i - 1)
+        for a in range(r):
+            for b in range(c):
+                col = [Fraction(0)] * m
+                if d_t is not None:  # column a of d_t, down column b of component i
+                    start = offset[i] + b
+                    col[start : start + d_t.rows * c : c] = [row[a] for row in d_t.data]
+                if d_s is not None:  # row b of d_s, along row a of component i-1
+                    start = offset[i - 1] + a * d_s.cols
+                    col[start : start + d_s.cols] = [sign * x for x in d_s.data[b]]
+                cols.append(col)
     return cols
 
 
-def _rref(rows: List[List[Fraction]]):
-    """In-place reduced row echelon form; returns pivot column list."""
+def _rref(rows) -> List[int]:
+    """In-place reduced row echelon form; returns pivot column list.
+
+    Each row is scaled to integers by the lcm of its denominators and
+    eliminated Gauss-Jordan in ints, each new row divided by the gcd of its
+    entries; the rows become Fractions again only at the end, each pivot row
+    divided by its pivot.  Scaling a row keeps the row space and a matrix has
+    exactly one RREF, so rows and pivots are those of elimination in Fractions.
+    """
+    work = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (den // x.denominator) for x in row])
     pivots = []
-    lead = 0
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
+    n_rows = len(work)
+    n_cols = len(work[0]) if n_rows else 0
     for col in range(n_cols):
-        pivot_row = None
-        for r in range(lead, n_rows):
-            if rows[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[lead], rows[pivot_row] = rows[pivot_row], rows[lead]
-        inv = 1 / rows[lead][col]
-        rows[lead] = [x * inv for x in rows[lead]]
-        for r in range(n_rows):
-            if r != lead and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[lead])]
-        pivots.append(col)
-        lead += 1
+        lead = len(pivots)
         if lead == n_rows:
             break
+        pivot_row = next((r for r in range(lead, n_rows) if work[r][col]), None)
+        if pivot_row is None:
+            continue
+        work[lead], work[pivot_row] = work[pivot_row], work[lead]
+        top = work[lead]
+        p = top[col]
+        for r in range(n_rows):
+            x = work[r][col]
+            if r != lead and x:
+                row = [p * y - x * t for y, t in zip(work[r], top)]
+                g = gcd(*row)
+                work[r] = [y // g for y in row] if g > 1 else row
+        pivots.append(col)
+    zero = Fraction(0)
+    for r, col in enumerate(pivots):
+        p = work[r][col]
+        rows[r] = [Fraction(y, p) if y else zero for y in work[r]]
+    for r in range(len(pivots), n_rows):
+        rows[r] = [zero] * n_cols
     return pivots
 
 
@@ -436,7 +466,9 @@ class CohomologyGroup:
 def cohomology(source: MatrixComplex, target: MatrixComplex, degree: int) -> CohomologyGroup:
     """ker D^degree / im D^(degree-1), exactly, with cocycle witnesses.
 
-    Each matrix is row-reduced once.  The cocycles are the kernel basis of
+    The columns of D are written entrywise from the differentials (see
+    `_d_columns`), and each matrix is row-reduced once, in integers, which
+    gives its one RREF (see `_rref`).  The cocycles are the kernel basis of
     D^degree, one vector per free column of its RREF; the coboundaries are
     the nonzero RREF rows of the image of D^(degree-1); the representatives
     are the first cocycles, in order, that are independent of the image and

@@ -4,7 +4,11 @@ The bodies below are ``cohomology`` and its helpers as they stood before
 each matrix was row-reduced once: the kernel basis transposes the columns
 of D^degree itself, and the representatives are picked by row-reducing
 the image plus one more kernel vector again for every kernel vector.
-Tests compare the production ``cohomology`` against this copy.
+``hom_differential`` is the one of matrix products, applied to one unit
+cochain at a time, and ``_rref`` eliminates in Fractions, as both stood
+before D was written entrywise and elimination ran in integers.
+Tests compare the production ``cohomology``, ``hom_differential`` and
+``_rref`` against this copy.
 """
 
 from __future__ import annotations
@@ -13,13 +17,26 @@ from fractions import Fraction
 from typing import List
 
 from walland.errors import InvariantError
-from walland.traces import (
-    CohomologyGroup,
-    HomCochain,
-    Mat,
-    MatrixComplex,
-    hom_differential,
-)
+from walland.traces import CohomologyGroup, HomCochain, Mat, MatrixComplex
+
+
+def hom_differential(f: HomCochain) -> HomCochain:
+    """D(f)^i = d_target^(i+k) f^i - (-1)^k f^(i+1) d_source^i."""
+    k = f.degree
+    sign = -1 if k % 2 else 1
+    out = {}
+    for i in HomCochain._support(f.source, f.target, k + 1):
+        acc = Mat.zero(f.target.dims[i + k + 1], f.source.dims[i])
+        d_t = f.target.diff(i + k)
+        fi = f.component(i)
+        if d_t is not None and fi is not None:
+            acc = acc + d_t * fi
+        d_s = f.source.diff(i)
+        fi1 = f.component(i + 1)
+        if d_s is not None and fi1 is not None:
+            acc = acc - (fi1 * d_s).scale(sign)
+        out[i] = acc
+    return HomCochain(f.source, f.target, k + 1, out)
 
 
 def _basis_layout(source, target, degree):

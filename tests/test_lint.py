@@ -104,3 +104,24 @@ def test_floats_only_in_display_code():
         ("stability.py", "theta_approx"),
         ("stability.py", "to_dict"),  # LiftedPhase and PhaseValue round approx
     ]
+
+
+def test_one_hom_differential_formula():
+    # D is written out from the complexes' differentials only in
+    # traces._d_columns; hom_differential sums the columns it returns
+    diff_calls = sorted(
+        {
+            (name, func)
+            for name, func, node in _nodes()
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "diff"
+        }
+    )
+    assert diff_calls == [("traces.py", "_d_columns")]
+    d_columns_callers = {
+        (name, func)
+        for name, func, node in _nodes()
+        if isinstance(node, ast.Call) and _callee(node) == "_d_columns"
+    }
+    assert ("traces.py", "hom_differential") in d_columns_callers

@@ -1,15 +1,25 @@
-"""One-elimination cohomology against the trial-loop reference.
+"""Production cohomology against the reference copy.
 
 `reference_cohomology` keeps the cohomology that picked representatives by
-row-reducing the image plus one more kernel vector for each kernel vector.
-The production code reads them off one elimination; both must return the
-same groups, witnesses included, in every degree.
+row-reducing the image plus one more kernel vector for each kernel vector,
+the Hom differential of matrix products and the elimination in Fractions.
+The production code reads representatives off one elimination, writes D
+entrywise and eliminates in integers; both must return the same groups,
+witnesses included, in every degree, the same D and the same RREF.
 """
 
 import random
+from fractions import Fraction as F
 
 import reference_cohomology as ref
-from walland.traces import cohomology, random_complex
+from walland.traces import (
+    MatrixComplex,
+    _rref,
+    cohomology,
+    hom_differential,
+    random_cochain,
+    random_complex,
+)
 
 
 def _doc(group):
@@ -24,6 +34,25 @@ def _doc(group):
     )
 
 
+def _entries(cochains):
+    return [x for f in cochains for m in f.comps.values() for row in m.data for x in row]
+
+
+def _rational(rng, C):
+    # each differential scaled by its own non-integral rational: d o d = 0 still
+    scales = [F(rng.choice((1, -1, 3, -5)), rng.choice((2, 3, 7))) for _ in C.diffs]
+    return MatrixComplex(C.dims, [d.scale(c) for d, c in zip(C.diffs, scales)])
+
+
+def _assert_matches_reference(source, target):
+    for d in range(-len(source), len(target) + 1):
+        group = cohomology(source, target, d)
+        assert _doc(group) == _doc(ref.cohomology(source, target, d)), d
+        # no int or float leaks out of the integer elimination
+        witnesses = group.reps + group.cocycles + group.coboundaries
+        assert all(type(x) is F for x in _entries(witnesses)), d
+
+
 def test_cohomology_matches_reference():
     # lengths up to 5, dimensions up to 5, every degree with a nonzero Hom
     # space plus one empty degree on each side; Hom(A, A) and Hom(A, B)
@@ -32,7 +61,59 @@ def test_cohomology_matches_reference():
         A = random_complex(rng, max_len=5, max_dim=5)
         B = random_complex(rng, max_len=5, max_dim=5)
         for source, target in ((A, A), (A, B)):
-            for d in range(-len(source), len(target) + 1):
-                assert _doc(cohomology(source, target, d)) == _doc(
-                    ref.cohomology(source, target, d)
-                ), d
+            _assert_matches_reference(source, target)
+
+
+def test_cohomology_matches_reference_rational_differentials():
+    rng = random.Random(5006)
+    for _ in range(6):
+        A = _rational(rng, random_complex(rng, max_len=4, max_dim=4))
+        B = _rational(rng, random_complex(rng, max_len=4, max_dim=4))
+        for source, target in ((A, A), (A, B), (B, A)):
+            _assert_matches_reference(source, target)
+
+
+def test_hom_differential_matches_reference():
+    rng = random.Random(5007)
+    for _ in range(40):
+        A = random_complex(rng, max_len=5, max_dim=4)
+        B = random_complex(rng, max_len=5, max_dim=4)
+        if rng.random() < 0.5:
+            A, B = _rational(rng, A), _rational(rng, B)
+        k = rng.randint(-3, 3)
+        f = random_cochain(rng, A, B, k)
+        if rng.random() < 0.5:
+            f = f.scale(F(rng.randint(-4, 4), rng.randint(1, 5)))
+        got = hom_differential(f)
+        assert got == ref.hom_differential(f)
+        assert all(type(x) is F for x in _entries([got]))
+
+
+def _low_rank(rng, n_rows, n_cols, rank, dens):
+    left = [[F(rng.randint(-3, 3), rng.choice(dens)) for _ in range(rank)] for _ in range(n_rows)]
+    right = [[F(rng.randint(-3, 3), rng.choice(dens)) for _ in range(n_cols)] for _ in range(rank)]
+    return [[sum((a * b for a, b in zip(row, col)), F(0)) for col in zip(*right)] for row in left]
+
+
+def _matrices(rng):
+    yield []  # no rows: 0 x n
+    yield [[], [], []]  # n x 0
+    yield [[F(0)] * 4 for _ in range(3)]
+    yield [[F(1, 2), F(-2, 3), F(0)], [F(1, 2), F(-2, 3), F(0)], [F(-1, 2), F(2, 3), F(0)]]
+    for n_rows, n_cols in ((1, 1), (7, 3), (3, 7), (5, 5), (9, 12)):  # tall and wide
+        for dens in ((1,), (1, 2, 3), (2, 3, 7, 10)):
+            for rank in range(min(n_rows, n_cols) + 1):
+                rows = _low_rank(rng, n_rows, n_cols, rank, dens)
+                if rng.random() < 0.5:  # duplicate rows
+                    rows += [list(rows[rng.randrange(n_rows)]) for _ in range(2)]
+                    rng.shuffle(rows)
+                yield rows
+
+
+def test_rref_matches_fraction_elimination():
+    rng = random.Random(5008)
+    for rows in _matrices(rng):
+        got, want = [list(r) for r in rows], [list(r) for r in rows]
+        assert _rref(got) == ref._rref(want), rows
+        assert got == [list(r) for r in want], rows
+        assert all(type(x) is F for row in got for x in row), rows

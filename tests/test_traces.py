@@ -63,6 +63,10 @@ def test_shapes_and_degrees_must_be_ints():
             cohomology(C, C, bad)
     assert HomCochain(C, C, 1, {}).degree == 1
     assert cohomology(C, C, 0).degree == 0
+    for shape in ((1.0, 1), (1, True), (True, True), ("1", 1), (-1, 1)):
+        with pytest.raises(DimensionMismatch):
+            Mat(*shape, [[1]])
+    assert Mat(1, 1, [[1]]).shape == (1, 1)
 
 
 def test_mat_arithmetic():
