@@ -19,7 +19,7 @@ along parameter segments stay below a half turn, which pins each lift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product as _iterproduct
 from typing import Optional
@@ -45,7 +45,6 @@ from .plane import (
     ParabolaShift,
     PlaneLine,
     PlanePoint,
-    QuadNum,
     line_intersection,
     line_parabola_intersect,
     line_through,
@@ -222,10 +221,10 @@ _SCAN_LIMIT = 10**6
 def _pencil_ks(lo: int, hi: int, forms):
     """Integers k in [lo, hi] whose wall meets the region, as ranges.
 
-    forms holds per region corner an (A, B) with A + B*k a positive multiple
-    of det(v, w, corner).  The wall misses the closed convex region exactly
-    when all corners are strictly positive, or all strictly negative: two
-    intervals of k, which leave at most three ranges.
+    forms holds per region corner an integer (A, B) with A + B*k a positive
+    multiple of det(v, w, corner).  The wall misses the closed convex region
+    exactly when all corners are strictly positive, or all strictly
+    negative: two intervals of k, which leave at most three ranges.
     """
     holes = []
     for sgn in (1, -1):
@@ -233,9 +232,9 @@ def _pencil_ks(lo: int, hi: int, forms):
         for A, B in forms:
             A, B = sgn * A, sgn * B
             if B > 0:
-                a = max(a, math.floor(-A / B) + 1)  # A + B*k > 0
+                a = max(a, -A // B + 1)  # A + B*k > 0
             elif B < 0:
-                b = min(b, math.ceil(A / -B) - 1)
+                b = min(b, -(A // B) - 1)
             elif A <= 0:
                 break
         else:
@@ -261,15 +260,17 @@ def enumerate_candidate_walls(
     linear in the ch2 step k.  Walls of v form the pencil through v's plane
     point and det(v, w, corner) is linear in k, so the k whose wall misses
     the region are cut out in closed form by corner signs before any
-    witness is built.  Kept are the survivors with Z(w) = t * Z(v), t != 0
-    and t^2 < 1 somewhere on the meet.  On the wall t = n / d is a ratio of
-    affine functions of one coordinate: n, d = Im Z(w), Im Z(v) depend on s
-    alone, and on a vertical wall n, d = Re Z(w), Re Z(v) depend on q alone.
+    witness is built.  Kept are the survivors with Z(w) = (n / d) * Z(v),
+    (n, d) from _ratio, n != 0 and n^2 < d^2 somewhere on the meet.
     A witness is tested only at the points wall_clip returns, its one point
     or the two ends of a span: the Bogomolov bounds on k put the plane
     points of w and v - w on or below the parabola and every clip lies
     strictly above it, so along a clip only d + n can change sign, once,
     and the kept part of the clip is an interval that holds an end.
+    The scan runs in ints: M, the lcm of the denominators of v, H^2, D^2/2
+    and every (H.c, c^2/2 - D.c), makes M*w integral for every witness w,
+    so the k bounds are exact floors and ceils by //, and one M > 0 on v and
+    w moves no wall line, no clip and no sign of n or d^2 - n^2.
     PreconditionError is raised when the bounds allow more than _SCAN_LIMIT
     (rank, c1) pairs, and before scanning any pair whose survivors would
     take their total over _SCAN_LIMIT.
@@ -280,74 +281,73 @@ def enumerate_candidate_walls(
     pairs = (2 * bounds.rank_bound + 1) * (2 * bounds.c1_bound + 1) ** L.rank
     if pairs > _SCAN_LIMIT:
         raise PreconditionError(f"bounds allow over {_SCAN_LIMIT} (rank, c1) pairs")
-    found = {}
-    budget = _SCAN_LIMIT
-    H, D = L.H, L.D
-    H2 = L.pair(H, H)
-    DD = L.pair(D, D)
-    m = region.ring[0][0]
-    q_lo = Fraction(min(q for _, _, q in region.ring), m)
-    q_hi = Fraction(max(q for _, _, q in region.ring), m)
-    # max of |Re Z(v)| over the region: linear, so corners suffice
-    envelope = Fraction(max(abs(q * v.v0 - m * v.v2) for _, _, q in region.ring), m)
     c1_terms = []
     for coords in _iterproduct(
         range(-bounds.c1_bound, bounds.c1_bound + 1), repeat=L.rank
     ):
         c = L.divisor(coords)
-        c1_terms.append((L.pair(H, c), L.pair(c, c) / 2 - L.pair(D, c)))
+        c1_terms.append((L.pair(L.H, c), L.pair(c, c) / 2 - L.pair(L.D, c)))
+    H2, half_DD = L.pair(L.H, L.H), L.pair(L.D, L.D) / 2
+    scaled = chain(v.as_tuple(), (H2, half_DD), *c1_terms)
+    M = math.lcm(*(x.denominator for x in scaled))
+    c1_terms = [(int(w1 * M), int(c_base * M)) for w1, c_base in c1_terms]
+    V0, V1, V2 = (int(x * M) for x in v.as_tuple())
+    vM = VTilde(V0, V1, V2)
+    m = region.ring[0][0]
+    qs = [q for _, _, q in region.ring]
+    # m*M times the max of |Re Z(v)| over the region: linear, so corners suffice
+    envelope = max(abs(q * V0 - m * V2) for q in qs)
     # det(v, w, corner) = w . (corner x v)
     normals = [
-        (s * v.v2 - q * v.v1, q * v.v0 - m * v.v2, m * v.v1 - s * v.v0)
+        (s * V2 - q * V1, q * V0 - m * V2, m * V1 - s * V0)
         for m, s, q in region.ring
     ]
+    found = {}
+    budget = _SCAN_LIMIT
     for r in range(-bounds.rank_bound, bounds.rank_bound + 1):
-        w0 = H2 * r
-        env_lo = min(q_lo * w0, q_hi * w0) - envelope
-        env_hi = max(q_lo * w0, q_hi * w0) + envelope
-        r_base = r * DD / 2
-        for w1, c_base in c1_terms:
-            # w2 = base + k over integers k: integrality of e' plus twist shift
-            base = c_base + r_base
-            k_lo = env_lo - base
-            k_hi = env_hi - base
+        W0 = int(H2 * M) * r
+        env_lo = min(q * W0 for q in qs) - envelope
+        env_hi = max(q * W0 for q in qs) + envelope
+        r_base = int(half_DD * M) * r
+        for W1, c_base in c1_terms:
+            # M*w2 = B + M*k over integers k: integrality of e' plus twist shift
+            B = c_base + r_base
+            k_lo = -((m * B - env_lo) // (m * M))
+            k_hi = (env_hi - m * B) // (m * M)
             # Bogomolov constraints are linear in k once w0, u0 are fixed
-            if w0 > 0:
-                k_hi = min(k_hi, w1 * w1 / (2 * w0) - base)
-            elif w0 < 0:
-                k_lo = max(k_lo, w1 * w1 / (2 * w0) - base)
-            u0, u1 = v.v0 - w0, v.v1 - w1
-            if u0 > 0:
-                k_lo = max(k_lo, v.v2 - base - u1 * u1 / (2 * u0))
-            elif u0 < 0:
-                k_hi = min(k_hi, v.v2 - base - u1 * u1 / (2 * u0))
-            forms = [(w0 * n0 + w1 * n1 + base * n2, n2) for n0, n1, n2 in normals]
-            ks = _pencil_ks(math.ceil(k_lo), math.floor(k_hi), forms)
-            budget -= sum(max(0, r.stop - r.start) for r in ks)
+            if W0 > 0:
+                k_hi = min(k_hi, (W1 * W1 - 2 * W0 * B) // (2 * W0 * M))
+            elif W0 < 0:
+                k_lo = max(k_lo, -((2 * W0 * B - W1 * W1) // (2 * W0 * M)))
+            U0, U1 = V0 - W0, V1 - W1
+            if U0 > 0:
+                k_lo = max(k_lo, -((U1 * U1 - 2 * U0 * (V2 - B)) // (2 * U0 * M)))
+            elif U0 < 0:
+                k_hi = min(k_hi, (2 * U0 * (V2 - B) - U1 * U1) // (2 * U0 * M))
+            forms = [(W0 * n0 + W1 * n1 + B * n2, M * n2) for n0, n1, n2 in normals]
+            ks = _pencil_ks(k_lo, k_hi, forms)
+            budget -= sum(max(0, span.stop - span.start) for span in ks)
             if budget < 0:
                 raise PreconditionError(f"scan would pass {_SCAN_LIMIT} witnesses")
             for k in chain.from_iterable(ks):
-                w = VTilde(w0, w1, base + k)
-                if _proportional(v, w):  # also w = 0 and w = v
+                w = VTilde(W0, W1, B + M * k)
+                if _proportional(vM, w):  # also w = 0 and w = v
                     continue
-                wall = wall_of(v, w)
+                wall = wall_of(vM, w)
                 vertical = wall.is_vertical
                 ratios = (
-                    _ratio(v, w, vertical, q if vertical else s)
+                    _ratio(vM, w, vertical, q if vertical else s)
                     for s, q in region.wall_clip(wall)
                 )
                 if not any(n != 0 and n * n < d * d for n, d in ratios):
                     continue
-                found.setdefault(wall.coeffs, {})[w.as_tuple()] = w
-    out = []
-    for coeffs in sorted(found):
-        ws = found[coeffs]
-        out.append(
-            CandidateWall(
-                PlaneLine(coeffs), tuple(ws[key] for key in sorted(ws))
-            )
-        )
-    return out
+                found.setdefault(wall.coeffs, set()).add(w.as_tuple())
+    return [
+        CandidateWall(PlaneLine(coeffs), tuple(
+            VTilde(*(Fraction(x, M) for x in w)) for w in sorted(found[coeffs])
+        ))
+        for coeffs in sorted(found)
+    ]
 
 
 # ---------------------------------------------------------------------------

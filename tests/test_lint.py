@@ -125,3 +125,20 @@ def test_one_hom_differential_formula():
         if isinstance(node, ast.Call) and _callee(node) == "_d_columns"
     }
     assert ("traces.py", "hom_differential") in d_columns_callers
+
+
+def test_no_float_division_in_floor_or_ceil():
+    # math.floor(a / b) on ints rounds a / b to a float first; exact integer
+    # floors and ceils are a // b and -(-a // b)
+    found = sorted(
+        (name, node.lineno)
+        for name, _, node in _nodes()
+        if isinstance(node, ast.Call)
+        and _callee(node) in ("math.floor", "math.ceil", "floor", "ceil")
+        and any(
+            isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Div)
+            for arg in node.args
+            for sub in ast.walk(arg)
+        )
+    )
+    assert found == []

@@ -17,6 +17,7 @@ from walland import (
     PlaneLine,
     SegmentRegion,
     StabPoint,
+    SurfaceLattice,
     VTilde,
     discriminant,
     enumerate_candidate_walls,
@@ -125,6 +126,40 @@ def test_enumeration_matches_reference_p1xp1(product_surface):
         P, Q = _rand_point(rng), _rand_point(rng)
         _assert_same(v, "segment", (P, Q), (2, 2), product_surface)
         _assert_same(v, "box", _box_around(P, Q, rng), (1, 2), product_surface)
+
+
+# Lattices that make the scan's integer scale M larger than 2 (the shipped
+# surfaces have M <= 2 for integral characters): a rank-1 lattice with
+# H^2 = 3/2, where c^2/2 comes in quarters, and the blow-up of P2 at a point
+# with D = (1/3, -2/3), orthogonal to H = (2, -1), where D.c comes in thirds
+# and D^2/2 = -1/6.
+ODD_SCALE = {
+    "gram-3/2": {"basis": ["h"], "gram": [["3/2"]], "H": ["1"], "D": ["0"],
+                 "K": ["0"], "chiO": "1"},
+    "blowup-D-thirds": {"basis": ["l", "e"], "gram": [["1", "0"], ["0", "-1"]],
+                        "H": ["2", "-1"], "D": ["1/3", "-2/3"], "K": ["-3", "1"],
+                        "chiO": "1"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_SCALE))
+def test_enumeration_matches_reference_odd_scale(name):
+    L = SurfaceLattice.from_dict(ODD_SCALE[name])
+    H2 = L.pair(L.H, L.H)
+    seg, box = ((3, 4), (2, 3)) if L.rank == 1 else ((2, 2), (1, 2))
+    rng = random.Random(3104)
+    for i, den in enumerate((3, 4, 6, 3, 4, 6)):
+        # ch2 with denominator exactly den, so M is a multiple of it
+        while True:
+            c = L.divisor([rng.randint(-2, 2) for _ in range(L.rank)])
+            v = V(H2 * rng.randint(-2, 2), L.pair(L.H, c), F(rng.randint(-12, 12), den))
+            if v.v2.denominator == den and discriminant(v) >= 0:
+                break
+        P, Q = _rand_point(rng), _rand_point(rng)
+        if i % 2 == 0:
+            _assert_same(v, "segment", (P, Q), seg, L)
+        else:
+            _assert_same(v, "box", _box_around(P, Q, rng), box, L)
 
 
 def _meet(pts):

@@ -35,6 +35,7 @@ from walland import (
     wall_of,
 )
 from walland.jsonio import dumps_canonical
+from walland.walls import _pencil_ks
 
 from conftest import rand_frac, rand_stab
 
@@ -125,6 +126,23 @@ def test_enumerate_huge_bounds_refused_fast(p2, product_surface):
 def test_enumerate_zero_character_rejected(p2):
     with pytest.raises(ZeroChargeError):
         enumerate_candidate_walls(V(0, 0, 0), BoxRegion(0, 1, 1, 2), 1, 1, p2)
+
+
+def test_pencil_ks_exact_beyond_float_precision():
+    # -A/B = -(10^20 + 1/3) and -(10^20 + 7/3) round to -1e20 in floats, so
+    # a float floor or ceil keeps k = -10^20 or drops the two meeting k
+    A1, A2 = 3 * 10**20 + 1, 3 * 10**20 + 7
+    lo, hi = -(10**20) - 6, -(10**20) + 6
+    for sgn in (1, -1):
+        forms = [(sgn * A1, sgn * 3), (sgn * A2, sgn * 3)]
+        got = [k for span in _pencil_ks(lo, hi, forms) for k in span]
+        # the wall meets unless every corner form has one strict sign
+        want = [
+            k for k in range(lo, hi + 1)
+            if not all(A + B * k > 0 for A, B in forms)
+            and not all(A + B * k < 0 for A, B in forms)
+        ]
+        assert got == want == [-(10**20) - 2, -(10**20) - 1]
 
 
 # ---------------------------------------------------------------------------
