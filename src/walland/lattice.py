@@ -10,8 +10,10 @@ vectors that drive all of the plane geometry downstream.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, product
 from typing import Sequence
 
 from .errors import DimensionMismatch, PreconditionError, SchemaError
@@ -62,6 +64,8 @@ class SurfaceLattice:
     D: DivisorClass
     K: DivisorClass
     chiO: Fraction
+    # (c1_bound, scan_constants(c1_bound)) of the last scan, filled on first use
+    _scan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.basis)
@@ -100,6 +104,32 @@ class SurfaceLattice:
     def poisson_mode(self) -> bool:
         """True when H.K < 0, the regime where anticanonical sections exist."""
         return self.pair(self.H, self.K) < 0
+
+    def scan_constants(self, c1_bound: int):
+        """Integer constants of a wall scan over |c1 coords| <= c1_bound.
+
+        Returns (M, M*H^2, M*D^2/2, terms), terms holding (M*H.c,
+        M*(c^2/2 - D.c)) for every c in the c1 box in product order, and M
+        the lcm of the denominators of H^2, D^2/2 and every term, so all
+        of them are ints.  They depend on the lattice and the bound alone,
+        so the last bound's constants are kept on the instance.
+        """
+        if self._scan is not None and self._scan[0] == c1_bound:
+            return self._scan[1]
+        terms = []
+        for coords in product(range(-c1_bound, c1_bound + 1), repeat=self.rank):
+            c = self.divisor(coords)
+            terms.append((self.pair(self.H, c), self.pair(c, c) / 2 - self.pair(self.D, c)))
+        H2, half_DD = self.pair(self.H, self.H), self.pair(self.D, self.D) / 2
+        M = math.lcm(*(x.denominator for x in chain((H2, half_DD), *terms)))
+        out = (
+            M,
+            int(H2 * M),
+            int(half_DD * M),
+            tuple((int(a * M), int(b * M)) for a, b in terms),
+        )
+        object.__setattr__(self, "_scan", (c1_bound, out))  # frozen dataclass
+        return out
 
     def divisor(self, coords) -> DivisorClass:
         d = DivisorClass.make(coords)

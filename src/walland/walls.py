@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product as _iterproduct
+from itertools import chain
 from typing import Optional
 
 from .errors import (
@@ -98,13 +98,6 @@ class EnumerationBounds:
         except (TypeError, ValueError) as exc:
             raise PreconditionError(f"bad enumeration bounds: {bounds!r}") from exc
         return EnumerationBounds(rb, cb)
-
-
-def _line_eval(wall: PlaneLine, s: Fraction, q: Fraction) -> Fraction:
-    # affine evaluation; eval_point on a PlanePoint carries the
-    # canonicalization scale and would skew crossing parameters
-    a, b, c = wall.coeffs
-    return a + b * s + c * q
 
 
 def _ring(corners):
@@ -195,6 +188,49 @@ def _ratio(v: VTilde, w: VTilde, vertical: bool, x):
     return central_charge((x, 0), w).im, central_charge((x, 0), v).im
 
 
+def _crossing_ratio(v, w, vertical: bool, f0: int, f1: int, c0, c1):
+    """_ratio at a segment's crossing R with wall_of(v, w), times (f0 - f1)*m.
+
+    v and w are integer triples.  c0 and c1 are the segment's ends as
+    integer triples (m, m*s, m*q) with one m > 0, and f0 != f1 the values
+    det(v, w, c) at them, so R = (f0*c1 - f1*c0) / ((f0 - f1)*m).  Returns
+    the ints (n, d) of _ratio(v, w, vertical, x) at R, each multiplied by
+    the nonzero integer (f0 - f1)*m, which moves no sign of n*d or d*d - n*d.
+    """
+    g = (f0 - f1) * c0[0]
+    if vertical:
+        x = f0 * c1[2] - f1 * c0[2]  # g * R.q
+        return x * w[0] - w[2] * g, x * v[0] - v[2] * g
+    x = f0 * c1[1] - f1 * c0[1]  # g * R.s
+    return w[1] * g - x * w[0], v[1] * g - x * v[0]
+
+
+def _same_strict_sign_somewhere(ends) -> bool:
+    """Whether some t in [0, 1] gives every form one and the same strict sign.
+
+    ends holds per form its values (x, y) at t = 0 and t = 1; the form is
+    (1 - t)*x + t*y.  For a sign, a form is of that sign on all of [0, 1],
+    on [0, x / (x - y)), on (x / (x - y), 1] or nowhere, so the forms meet
+    exactly when every zero of a form of the sign near 1 lies strictly
+    below every zero of a form of the sign near 0.
+    """
+    for sgn in (1, -1):
+        near0, near1 = [], []
+        for x, y in ends:
+            x, y = sgn * x, sgn * y
+            if x > 0:
+                if y <= 0:
+                    near0.append((x, x - y))  # zero at x / (x - y)
+            elif y > 0:
+                near1.append((-x, y - x))  # zero at -x / (y - x)
+            else:
+                break
+        else:
+            if all(a * d < c * b for c, d in near0 for a, b in near1):
+                return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # candidate walls
 # ---------------------------------------------------------------------------
@@ -202,8 +238,15 @@ def _ratio(v: VTilde, w: VTilde, vertical: bool, x):
 
 @dataclass(frozen=True)
 class CandidateWall:
+    """A wall with its witnesses; crossing is set by the split rule only.
+
+    crossing is the parameter in (0, 1) along the segment, start to end,
+    where the wall crosses it.  It is not part of the JSON form.
+    """
+
     wall: PlaneLine
     witnesses: tuple
+    crossing: Optional[Fraction] = None
 
     def to_dict(self) -> dict:
         return {
@@ -249,7 +292,13 @@ def _pencil_ks(lo: int, hi: int, forms):
 
 
 def enumerate_candidate_walls(
-    v: VTilde, region, rank_bound: int, c1_bound: int, L: SurfaceLattice
+    v: VTilde,
+    region,
+    rank_bound: int,
+    c1_bound: int,
+    L: SurfaceLattice,
+    *,
+    split: bool = False,
 ):
     """All potential walls of v meeting the region, with integral witnesses.
 
@@ -260,16 +309,34 @@ def enumerate_candidate_walls(
     linear in the ch2 step k.  Walls of v form the pencil through v's plane
     point and det(v, w, corner) is linear in k, so the k whose wall misses
     the region are cut out in closed form by corner signs before any
-    witness is built.  Kept are the survivors with Z(w) = (n / d) * Z(v),
-    (n, d) from _ratio, n != 0 and n^2 < d^2 somewhere on the meet.
-    A witness is tested only at the points wall_clip returns, its one point
+    witness is built.  With Z(w) = (n / d) * Z(v), (n, d) from _ratio, a
+    survivor is kept by one of two rules.
+
+    The public rule keeps it when n != 0 and n^2 < d^2 somewhere on the
+    meet.  It is tested only at the points wall_clip returns, its one point
     or the two ends of a span: the Bogomolov bounds on k put the plane
-    points of w and v - w on or below the parabola and every clip lies
-    strictly above it, so along a clip only d + n can change sign, once,
-    and the kept part of the clip is an interval that holds an end.
-    The scan runs in ints: M, the lcm of the denominators of v, H^2, D^2/2
-    and every (H.c, c^2/2 - D.c), makes M*w integral for every witness w,
-    so the k bounds are exact floors and ceils by //, and one M > 0 on v and
+    points of w and v - w, where n and d - n vanish, on or below the
+    parabola, and every clip lies strictly above it.  So along a clip n and
+    d - n keep their signs, d + n changes sign at most once, and the kept
+    part, where n != 0 and (d - n)(d + n) > 0, is an interval that holds an
+    end.
+
+    The split rule (split=True, region a SegmentRegion) keeps what the
+    destabilization walk splits along: walls crossing the segment strictly
+    inside it, f0 * f1 < 0 for the pencil forms f = det(v, w, corner) at
+    start and end, with 0 < n*d < d^2 at the crossing R, i.e. n, d and
+    d - n of one strict sign there.  Off a vertical wall (V0*W1 != V1*W0
+    for the pair) n and d are linear in s alone, so a (rank, c1) pair is
+    skipped outright when no s in the segment's closed s-range gives the
+    three one strict sign.  The rule is exact: a transversal wall meets the
+    segment in R alone, the public rule's clip, and 0 < n*d < d^2 implies
+    n != 0 and n^2 < d^2, so the split rule keeps exactly the public rule's
+    witnesses that the walk splits along.  Each returned wall carries its
+    crossing, and the rule decides in ints before any wall_of call.
+
+    The scan runs in ints: M, the lcm of the denominators of v and of the
+    lattice's scan_constants, makes M*w integral for every witness w, so
+    the k bounds are exact floors and ceils by //, and one M > 0 on v and
     w moves no wall line, no clip and no sign of n or d^2 - n^2.
     PreconditionError is raised when the bounds allow more than _SCAN_LIMIT
     (rank, c1) pairs, and before scanning any pair whose survivors would
@@ -281,35 +348,40 @@ def enumerate_candidate_walls(
     pairs = (2 * bounds.rank_bound + 1) * (2 * bounds.c1_bound + 1) ** L.rank
     if pairs > _SCAN_LIMIT:
         raise PreconditionError(f"bounds allow over {_SCAN_LIMIT} (rank, c1) pairs")
-    c1_terms = []
-    for coords in _iterproduct(
-        range(-bounds.c1_bound, bounds.c1_bound + 1), repeat=L.rank
-    ):
-        c = L.divisor(coords)
-        c1_terms.append((L.pair(L.H, c), L.pair(c, c) / 2 - L.pair(L.D, c)))
-    H2, half_DD = L.pair(L.H, L.H), L.pair(L.D, L.D) / 2
-    scaled = chain(v.as_tuple(), (H2, half_DD), *c1_terms)
-    M = math.lcm(*(x.denominator for x in scaled))
-    c1_terms = [(int(w1 * M), int(c_base * M)) for w1, c_base in c1_terms]
+    ring = region.ring
+    if split and len(ring) != 2:
+        raise PreconditionError("the split rule needs a segment region")
+    M_L, H2, half_DD, c1_terms = L.scan_constants(bounds.c1_bound)
+    M = math.lcm(M_L, *(x.denominator for x in v.as_tuple()))
+    if M != M_L:
+        f = M // M_L
+        H2, half_DD = H2 * f, half_DD * f
+        c1_terms = [(w1 * f, c_base * f) for w1, c_base in c1_terms]
     V0, V1, V2 = (int(x * M) for x in v.as_tuple())
     vM = VTilde(V0, V1, V2)
-    m = region.ring[0][0]
-    qs = [q for _, _, q in region.ring]
+    m = ring[0][0]
+    qs = [q for _, _, q in ring]
     # m*M times the max of |Re Z(v)| over the region: linear, so corners suffice
     envelope = max(abs(q * V0 - m * V2) for q in qs)
     # det(v, w, corner) = w . (corner x v)
-    normals = [
-        (s * V2 - q * V1, q * V0 - m * V2, m * V1 - s * V0)
-        for m, s, q in region.ring
-    ]
-    found = {}
+    normals = [(s * V2 - q * V1, q * V0 - m * V2, m * V1 - s * V0) for m, s, q in ring]
+    if split:
+        (_, S0, _), (_, S1, _) = ring
+        # m*M*Im Z(v) at start and end: the split rule's d off a vertical wall
+        d0, d1 = normals[0][2], normals[1][2]
+    found, crossing = {}, {}
     budget = _SCAN_LIMIT
     for r in range(-bounds.rank_bound, bounds.rank_bound + 1):
-        W0 = int(H2 * M) * r
+        W0 = H2 * r
         env_lo = min(q * W0 for q in qs) - envelope
         env_hi = max(q * W0 for q in qs) + envelope
-        r_base = int(half_DD * M) * r
+        r_base = half_DD * r
         for W1, c_base in c1_terms:
+            vertical = V0 * W1 == V1 * W0
+            if split and not vertical:
+                n0, n1 = m * W1 - S0 * W0, m * W1 - S1 * W0
+                if not _same_strict_sign_somewhere(((n0, n1), (d0, d1), (d0 - n0, d1 - n1))):
+                    continue
             # M*w2 = B + M*k over integers k: integrality of e' plus twist shift
             B = c_base + r_base
             k_lo = -((m * B - env_lo) // (m * M))
@@ -329,23 +401,37 @@ def enumerate_candidate_walls(
             budget -= sum(max(0, span.stop - span.start) for span in ks)
             if budget < 0:
                 raise PreconditionError(f"scan would pass {_SCAN_LIMIT} witnesses")
+            if split:
+                (A0, B0), (A1, B1) = forms
             for k in chain.from_iterable(ks):
-                w = VTilde(W0, W1, B + M * k)
-                if _proportional(vM, w):  # also w = 0 and w = v
-                    continue
-                wall = wall_of(vM, w)
-                vertical = wall.is_vertical
-                ratios = (
-                    _ratio(vM, w, vertical, q if vertical else s)
-                    for s, q in region.wall_clip(wall)
-                )
-                if not any(n != 0 and n * n < d * d for n, d in ratios):
-                    continue
-                found.setdefault(wall.coeffs, set()).add(w.as_tuple())
+                w = (W0, W1, B + M * k)
+                if split:
+                    f0, f1 = A0 + B0 * k, A1 + B1 * k
+                    if f0 * f1 >= 0:
+                        continue  # strict transversal crossings only
+                    n, d = _crossing_ratio((V0, V1, V2), w, vertical, f0, f1, *ring)
+                    if not 0 < n * d < d * d:
+                        continue
+                    wall = wall_of(vM, VTilde(*w))
+                    crossing[wall.coeffs] = Fraction(f0, f0 - f1)
+                else:
+                    wM = VTilde(*w)
+                    if _proportional(vM, wM):  # also w = 0 and w = v
+                        continue
+                    wall = wall_of(vM, wM)
+                    ratios = (
+                        _ratio(vM, wM, vertical, q if vertical else s)
+                        for s, q in region.wall_clip(wall)
+                    )
+                    if not any(n != 0 and n * n < d * d for n, d in ratios):
+                        continue
+                found.setdefault(wall.coeffs, set()).add(w)
     return [
-        CandidateWall(PlaneLine(coeffs), tuple(
-            VTilde(*(Fraction(x, M) for x in w)) for w in sorted(found[coeffs])
-        ))
+        CandidateWall(
+            PlaneLine(coeffs),
+            tuple(VTilde(*(Fraction(x, M) for x in w)) for w in sorted(found[coeffs])),
+            crossing.get(coeffs),
+        )
         for coeffs in sorted(found)
     ]
 
@@ -541,10 +627,14 @@ def simulate_destabilization_paths(
     At each candidate wall crossed transversally, the walked character is
     split into every two-term integral decomposition whose parts sit on
     the same charge ray with strict ratio in (0, 1) at the crossing; both
-    parts recurse toward Q.  Lifts are transported exactly; each node also
-    reports its own lift at Q (characters that happen not to destabilize
-    keep walking).  Termination: each split strictly decreases the
-    discriminant, which lives on a fixed rational grid and stays >= 0.
+    parts recurse toward Q.  Each node asks enumerate_candidate_walls for
+    these splits alone, with the split rule, over the rest of the segment:
+    the public enumeration's witnesses whose wall crosses the open segment,
+    with 0 < n*d < d^2 at the crossing.  Lifts are transported exactly;
+    each node also reports its own lift at Q (characters that happen not
+    to destabilize keep walking).  Termination: each split strictly
+    decreases the discriminant, which lives on a fixed rational grid and
+    stays >= 0.
     """
     bounds = EnumerationBounds.coerce(bounds)
     if v.is_zero:
@@ -564,25 +654,20 @@ def simulate_destabilization_paths(
         leaf = entry.transport(canonical_ray(*z_end))
         events = []
         for cand in enumerate_candidate_walls(
-            char, SegmentRegion(start, Q), bounds.rank_bound, bounds.c1_bound, L
+            char,
+            SegmentRegion(start, Q),
+            bounds.rank_bound,
+            bounds.c1_bound,
+            L,
+            split=True,
         ):
-            f0 = _line_eval(cand.wall, start.s, start.q)
-            f1 = _line_eval(cand.wall, Q.s, Q.q)
-            if f0 * f1 >= 0:
-                continue  # strict transversal crossings only
-            t_local = Fraction(f0, f0 - f1)
-            t_star = t0 + t_local * (1 - t0)
+            t_star = t0 + cand.crossing * (1 - t0)
             R = segment_point(P, Q, t_star)
             zR = central_charge(R, char)
             lift_R = entry.transport(canonical_ray(*zR))
-            vertical = cand.wall.is_vertical
-            x = R.q if vertical else R.s
             splits = []
             seen = set()
             for w in cand.witnesses:
-                n, d = _ratio(char, w, vertical, x)
-                if not 0 < n * d < d * d:
-                    continue
                 u = char - w
                 pair_key = tuple(sorted((w.as_tuple(), u.as_tuple())))
                 if pair_key in seen:

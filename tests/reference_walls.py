@@ -6,7 +6,9 @@ closed form: every witness in the Bogomolov/envelope k-range is built,
 canonicalised through ``wall_of`` and clipped against the region.  Tests
 compare the production ``enumerate_candidate_walls`` against this copy.
 Pass the region classes defined here to ``enumerate_candidate_walls`` in
-this module, since it calls their ``wall_clip``.
+this module, since it calls their ``wall_clip``.  ``walk_filter`` is the
+destabilization walk's choice of splits as it stood before the scan took
+the split rule, applied to a public enumeration over a segment.
 """
 
 from __future__ import annotations
@@ -295,4 +297,33 @@ def enumerate_candidate_walls(
                 PlaneLine(coeffs), tuple(ws[key] for key in sorted(ws))
             )
         )
+    return out
+
+
+def walk_filter(v: VTilde, start: StabPoint, Q: StabPoint, candidates):
+    """(wall coeffs, kept witnesses, crossing) the walk split along.
+
+    candidates is a public enumeration of v over the segment from start to
+    Q.  A wall is kept when it crosses the segment strictly inside it,
+    f0 * f1 < 0 at the two ends, and a witness when 0 < n*d < d^2 at the
+    crossing, with n / d = Re Z(w) / Re Z(v) on a vertical wall and
+    Im Z(w) / Im Z(v) elsewhere; walls with no kept witness are dropped.
+    """
+    out = []
+    for cand in candidates:
+        f0 = _line_eval(cand.wall, start.s, start.q)
+        f1 = _line_eval(cand.wall, Q.s, Q.q)
+        if f0 * f1 >= 0:
+            continue
+        t = Fraction(f0, f0 - f1)
+        s, q = start.s + t * (Q.s - start.s), start.q + t * (Q.q - start.q)
+        part = 0 if cand.wall.is_vertical else 1
+        d = _charge(s, q, v)[part]
+        kept = []
+        for w in cand.witnesses:
+            n = _charge(s, q, w)[part]
+            if 0 < n * d < d * d:
+                kept.append(w)
+        if kept:
+            out.append((cand.wall.coeffs, tuple(kept), t))
     return out

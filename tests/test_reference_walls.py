@@ -4,6 +4,8 @@
 clipped every witness in the Bogomolov/envelope range.  The production
 enumeration prunes the ch2 range by corner signs first; both must return
 the same candidate walls and witnesses, and both clips the same meet.
+Under the split rule the production scan must return what the reference
+enumeration followed by the walk's old filter (`walk_filter`) keeps.
 """
 
 import random
@@ -22,6 +24,7 @@ from walland import (
     discriminant,
     enumerate_candidate_walls,
     line_through,
+    segment_point,
 )
 
 V = VTilde.make
@@ -160,6 +163,52 @@ def test_enumeration_matches_reference_odd_scale(name):
             _assert_same(v, "segment", (P, Q), seg, L)
         else:
             _assert_same(v, "box", _box_around(P, Q, rng), box, L)
+
+
+def _assert_same_splits(v, P, Q, bounds, L):
+    """The number of walls kept, after comparing on the segment and its mirror."""
+    mirrored = (V(v.v0, -v.v1, v.v2), SP(-P.s, P.q), SP(-Q.s, Q.q))
+    kept = 0
+    for vv, PP, QQ in ((v, P, Q), mirrored):
+        got = [
+            (cw.wall.coeffs, cw.witnesses, cw.crossing)
+            for cw in enumerate_candidate_walls(
+                vv, SegmentRegion(PP, QQ), *bounds, L, split=True
+            )
+        ]
+        public = ref.enumerate_candidate_walls(vv, ref.SegmentRegion(PP, QQ), *bounds, L)
+        assert got == ref.walk_filter(vv, PP, QQ, public), (vv, PP, QQ, bounds)
+        kept += len(got)
+    return kept
+
+
+def _rand_split_char(rng, L, rank_zero):
+    H2 = L.pair(L.H, L.H)
+    while True:
+        c = L.divisor([rng.randint(-3, 3) for _ in range(L.rank)])
+        e = L.pair(c, c) / 2 - L.pair(L.D, c) + rng.randint(-6, 6)
+        r = 0 if rank_zero else rng.randint(-2, 2)
+        v = V(H2 * r, L.pair(L.H, c), e + r * L.pair(L.D, L.D) / 2)
+        if not v.is_zero and discriminant(v) >= 0:
+            return v
+
+
+@pytest.mark.parametrize("name", ["p2", "p1xp1_twisted"] + sorted(ODD_SCALE))
+def test_split_rule_matches_reference_walk_filter(name, p2, product_surface):
+    # segments as the walk builds them, from segment_point(P, Q, t0) to Q;
+    # draw 1 has a rank-zero character, draw 2 a segment of constant s
+    lattices = {"p2": p2, "p1xp1_twisted": product_surface}
+    L = lattices.get(name) or SurfaceLattice.from_dict(ODD_SCALE[name])
+    bounds, draws = ((3, 5), 6) if L.rank == 1 else ((1, 2), 3)
+    rng = random.Random(3105)
+    kept = 0
+    for i in range(draws):
+        v = _rand_split_char(rng, L, i == 1)
+        P = SP(*_rand_point(rng))
+        Q = SP(P.s, P.q + F(rng.randint(1, 9), 2)) if i == 2 else SP(*_rand_point(rng))
+        for t0 in (F(0), F(rng.randint(1, 6), 7)):
+            kept += _assert_same_splits(v, segment_point(P, Q, t0), Q, bounds, L)
+    assert kept > 0
 
 
 def _meet(pts):

@@ -30,13 +30,20 @@ from walland import (
     expected_moduli_dim,
     ext2_vanishing_certificate,
     phase_bound_interval,
+    segment_point,
     simulate_destabilization_paths,
     vtilde,
     wall_of,
 )
 from walland.jsonio import dumps_canonical
-from walland.walls import _pencil_ks
+from walland.walls import (
+    _crossing_ratio,
+    _pencil_ks,
+    _ratio,
+    _same_strict_sign_somewhere,
+)
 
+import reference_walls as ref
 from conftest import rand_frac, rand_stab
 
 
@@ -143,6 +150,169 @@ def test_pencil_ks_exact_beyond_float_precision():
             and not all(A + B * k < 0 for A, B in forms)
         ]
         assert got == want == [-(10**20) - 2, -(10**20) - 1]
+
+
+def test_scan_constants_memo_is_lazy_and_outside_equality(p2):
+    L = SurfaceLattice.from_dict(p2.to_dict())
+    assert L._scan is None  # nothing is computed at construction
+    M, H2, half_DD, terms = L.scan_constants(5)
+    assert (M, H2, half_DD) == (2, 2, 0) and len(terms) == 11
+    assert terms[6] == (2, 1)  # c = h: M*H.c = 2, M*(c^2/2 - D.c) = 1
+    assert L.scan_constants(5) is L.scan_constants(5)
+    assert L == p2 and hash(L) == hash(p2)
+    assert L.scan_constants(2)[3] == terms[3:8]
+
+
+# ---------------------------------------------------------------------------
+# the split rule
+# ---------------------------------------------------------------------------
+
+
+def _strict_sign_oracle(ends):
+    # every form's sign is constant between consecutive zeros, so test the
+    # ends, the zeros and the midpoints between them
+    ts = {F(0), F(1)}
+    for x, y in ends:
+        if x != y and 0 <= F(x, x - y) <= 1:
+            ts.add(F(x, x - y))
+    ts = sorted(ts)
+    ts += [(a + b) / 2 for a, b in zip(ts, ts[1:])]
+    for t in ts:
+        vals = [(1 - t) * x + t * y for x, y in ends]
+        if all(z > 0 for z in vals) or all(z < 0 for z in vals):
+            return True
+    return False
+
+
+def test_same_strict_sign_somewhere_matches_oracle():
+    grid = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    for a in grid:
+        assert _same_strict_sign_somewhere([a]) == _strict_sign_oracle([a]), a
+        for b in grid:
+            got = _same_strict_sign_somewhere([a, b])
+            assert got == _strict_sign_oracle([a, b]), (a, b)
+    rng = random.Random(7101)
+    for _ in range(3000):
+        ends = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(3)]
+        assert _same_strict_sign_somewhere(ends) == _strict_sign_oracle(ends), ends
+    # zeros that meet at one t leave no common point of strict sign
+    assert not _same_strict_sign_somewhere([(1, -1), (-1, 1)])
+    assert _same_strict_sign_somewhere([(2, -1), (-1, 2)])
+
+
+def test_crossing_ratio_is_ratio_scaled():
+    rng = random.Random(7102)
+    done = 0
+    while done < 300:
+        v = tuple(rng.randint(-6, 6) for _ in range(3))
+        w = tuple(rng.randint(-6, 6) for _ in range(3))
+        m = rng.randint(1, 5)
+        c0, c1 = ((m, rng.randint(-9, 9), rng.randint(1, 20)) for _ in range(2))
+        # det(v, w, c) = c . (v x w)
+        normal = (
+            v[1] * w[2] - v[2] * w[1],
+            v[2] * w[0] - v[0] * w[2],
+            v[0] * w[1] - v[1] * w[0],
+        )
+        f0, f1 = (sum(a * b for a, b in zip(c, normal)) for c in (c0, c1))
+        if f0 == f1:
+            continue
+        g = (f0 - f1) * m
+        s = F(f0 * c1[1] - f1 * c0[1], g)
+        q = F(f0 * c1[2] - f1 * c0[2], g)
+        vertical = normal[2] == 0
+        n, d = _ratio(VTilde(*v), VTilde(*w), vertical, q if vertical else s)
+        assert _crossing_ratio(v, w, vertical, f0, f1, c0, c1) == (g * n, g * d)
+        done += 1
+
+
+def _split_scan(v, P, Q, L, bounds=(3, 5)):
+    return [
+        (cw.wall.coeffs, cw.witnesses, cw.crossing)
+        for cw in enumerate_candidate_walls(
+            v, SegmentRegion(P, Q), *bounds, L, split=True
+        )
+    ]
+
+
+def _walk_filter(v, P, Q, L, bounds=(3, 5)):
+    public = enumerate_candidate_walls(v, SegmentRegion(P, Q), *bounds, L)
+    return ref.walk_filter(v, P, Q, public)
+
+
+def test_split_rule_needs_a_segment(p2):
+    with pytest.raises(PreconditionError, match="segment"):
+        enumerate_candidate_walls(V(1, 0, -1), BoxRegion(-1, 1, 1, 2), 1, 1, p2, split=True)
+
+
+def test_split_rule_skips_walls_through_segment_ends(p2):
+    # the walk from P crosses the wall (2, 3, 2) at R, t = 2/3; walks that
+    # start or end at R meet it there but never cross it
+    v = V(1, 0, -1)
+    P, R, Q = SP(F(-7, 4), F(7, 4)), SP(F(-17, 12), F(9, 8)), SP(F(-5, 4), F(13, 16))
+    public = enumerate_candidate_walls(v, SegmentRegion(R, Q), 3, 5, p2)
+    (cand,) = [c for c in public if c.wall.coeffs == (2, 3, 2)]
+    w = V(0, 1, F(-3, 2))
+    assert w in cand.witnesses
+    zv, zw = central_charge(R, v), central_charge(R, w)
+    assert 0 < zw.im / zv.im < 1  # it would split at R
+    for start, end in ((R, Q), (P, R)):
+        assert _split_scan(v, start, end, p2) == _walk_filter(v, start, end, p2) == []
+        assert simulate_destabilization_paths(start, end, v, (3, 5), p2).events == []
+    (event,) = simulate_destabilization_paths(P, Q, v, (3, 5), p2).events
+    assert (event.t, event.R, event.wall.coeffs) == (F(2, 3), R, (2, 3, 2))
+
+
+def test_split_rule_vertical_pair_decided_in_q(p2):
+    # the segment crosses v's vertical wall s = 0 at R = (0, 3/2), where
+    # Im Z(v) = 0: the split is decided by Re Z(w) / Re Z(v), a function of q
+    v = V(1, 0, -1)
+    P, Q = SP(F(-1, 2), 2), SP(F(1, 2), 1)
+    got = _split_scan(v, P, Q, p2)
+    assert got == _walk_filter(v, P, Q, p2)
+    assert got == [((0, 1, 0), (V(0, 0, -1), V(1, 0, 0)), F(1, 2))]
+    R = segment_point(P, Q, F(1, 2))
+    assert central_charge(R, v) == (R.q + 1, 0)
+    assert [central_charge(R, w).re / (R.q + 1) for w in got[0][1]] == [
+        1 / (R.q + 1), R.q / (R.q + 1),
+    ]
+    (event,) = simulate_destabilization_paths(P, Q, v, (3, 5), p2).events
+    assert (event.t, event.wall.coeffs, len(event.splits)) == (F(1, 2), (0, 1, 0), 1)
+    assert {event.splits[0].w, event.splits[0].u} == {V(0, 0, -1), V(1, 0, 0)}
+
+
+# constant s, so the per-pair s-range is one point, and a rank-zero v; in
+# both the pencil forms of the two ends have one slope in k
+_EQUAL_SLOPES = {
+    "constant-s": (
+        ((-3, -1, F(13, 2)), (F(-3, 4), F(379, 96)), (F(-3, 4), F(17, 32))),
+        [(15, (2, 33, 6), 1), (67, (1, 10, 2), 1), (119, (4, 27, 6), 1),
+         (223, (2, 7, 2), 3), (275, (7, 18, 6), 1), (327, (8, 15, 6), 2)],
+        328, 25,
+    ),
+    "rank-0": (
+        ((0, 5, F(3, 2)), (1, F(13, 6)), (F(1, 4), F(35, 96))),
+        [(128, (16, 3, -10), 1), (224, (14, 3, -10), 1), (512, (8, 3, -10), 1),
+         (608, (6, 3, -10), 1), (704, (4, 3, -10), 1), (752, (3, 3, -10), 1)],
+        757, 19,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EQUAL_SLOPES))
+def test_split_rule_equal_pencil_slopes(name, p2):
+    (v, P, Q), events, den, leaves = _EQUAL_SLOPES[name]
+    v, P, Q = V(*v), SP(*P), SP(*Q)
+    ring = SegmentRegion(P, Q).ring
+    # the pencil form's slope in k is M*(m*v1 - S*v0) at a corner (m, S, q)
+    assert len({m * v.v1 - S * v.v0 for m, S, _ in ring}) == 1
+    got = _split_scan(v, P, Q, p2)
+    assert got and got == _walk_filter(v, P, Q, p2)
+    root = simulate_destabilization_paths(P, Q, v, (3, 5), p2)
+    assert [(e.t, e.wall.coeffs, len(e.splits)) for e in root.events] == [
+        (F(t, den), coeffs, n) for t, coeffs, n in events
+    ]
+    assert len(collect_leaves(root)) == leaves
 
 
 # ---------------------------------------------------------------------------
