@@ -39,7 +39,6 @@ from .plane import (
     line_parabola_intersect,
     line_through,
     parabola_translate,
-    rational_strictly_between,
 )
 from .stability import (
     ChargeValue,

@@ -406,28 +406,3 @@ def parabola_translate(p: PlanePoint, delta) -> PlanePoint:
     par = ParabolaShift.through(p.x, p.y)
     nx = p.x + delta
     return PlanePoint.affine(nx, par.height(nx))
-
-
-def rational_strictly_between(lo, hi) -> Fraction:
-    """The simplest rational (least denominator) strictly between lo and hi.
-
-    Endpoints may be QuadNum; the continued fraction they share is closed
-    by the least integer between them.
-    """
-    if sign_of(hi - lo) <= 0:
-        raise PreconditionError("empty open interval")
-    lo, hi = (x if isinstance(x, QuadNum) else parse_frac(x) for x in (lo, hi))
-    if sign_of(hi) <= 0:
-        return -rational_strictly_between(-hi, -lo)
-    if sign_of(lo) < 0:
-        return Fraction(0)
-    terms = []  # below, 0 <= lo < hi, and hi None stands for infinity
-    n = math.floor(lo)
-    while hi is not None and sign_of(hi - (n + 1)) <= 0:
-        terms.append(n)
-        lo, hi = 1 / (hi - n), (None if sign_of(lo - n) == 0 else 1 / (lo - n))
-        n = math.floor(lo)
-    r = Fraction(n + 1)
-    for t in reversed(terms):
-        r = t + 1 / r
-    return r

@@ -50,7 +50,6 @@ from .plane import (
     line_through,
     parabola_translate,
     parse_frac,
-    rational_strictly_between,
 )
 from .stability import (
     HeartPosition,
@@ -106,29 +105,32 @@ def _ring(corners):
     return tuple((m, int(s * m), int(q * m)) for s, q in corners)
 
 
-def _wall_clip(region, wall: PlaneLine):
-    """Meet of the wall line with the closed convex region.
+def _meet(ring, f):
+    """Where a line meets the closed convex region, as integer triples.
 
-    Walks the region's edges in cyclic order, collecting the corners on
-    the line and the crossings of edges whose ends lie strictly on
-    opposite sides; a line meets a convex region in at most two of them.
-    Returns None or the meet points [(s, q)] or [(s0, q0), (s1, q1)]: a
-    witness is decided at these points alone, see enumerate_candidate_walls.
+    ring holds the region's corners (m, m*s, m*q), one m > 0, in cyclic
+    order, and f the line's integer values at them.  Returns the corners
+    with f = 0 and, per edge whose ends have values fa and fb of strictly
+    opposite signs, its crossing (g, g*s, g*q) = fa*end - fb*start, with
+    g = (fa - fb)*m nonzero and of either sign.
+    A line meets a convex region in at most two distinct such points: its
+    one point, or the two ends of a span.
     """
+    pts = [c for c, fc in zip(ring, f) if fc == 0]
+    for i in range(len(ring) == 2, len(ring)):  # a segment has one edge
+        fa, fb = f[i - 1], f[i]
+        if fa * fb < 0:
+            pts.append(tuple(fa * y - fb * x for x, y in zip(ring[i - 1], ring[i])))
+    return pts
+
+
+def _wall_clip(region, wall: PlaneLine):
+    """None or the distinct points (s, q) of the wall's meet with the region."""
     a, b, c = wall.coeffs
     ring = region.ring
-    f = [a * m + b * s + c * q for m, s, q in ring]
     pts = []
-    for i, (m, s, q) in enumerate(ring):
-        fa, fb = f[i], f[i - 1]
-        if fa == 0:
-            p = (Fraction(s, m), Fraction(q, m))
-        elif fa * fb < 0:
-            _, s1, q1 = ring[i - 1]
-            d = (fa - fb) * m
-            p = (Fraction(fa * s1 - fb * s, d), Fraction(fa * q1 - fb * q, d))
-        else:
-            continue
+    for g, gs, gq in _meet(ring, [a * m + b * s + c * q for m, s, q in ring]):
+        p = (Fraction(gs, g), Fraction(gq, g))
         if p not in pts:
             pts.append(p)
     return pts or None
@@ -167,42 +169,29 @@ class BoxRegion:
 # ---------------------------------------------------------------------------
 
 
-def _proportional(v: VTilde, w: VTilde) -> bool:
+def _proportional(v, w) -> bool:
+    """Whether the integer triples v and w are proportional (w = 0 included)."""
     return (
-        v.v1 * w.v2 - v.v2 * w.v1 == 0
-        and v.v2 * w.v0 - v.v0 * w.v2 == 0
-        and v.v0 * w.v1 - v.v1 * w.v0 == 0
+        v[1] * w[2] - v[2] * w[1] == 0
+        and v[2] * w[0] - v[0] * w[2] == 0
+        and v[0] * w[1] - v[1] * w[0] == 0
     )
 
 
-def _ratio(v: VTilde, w: VTilde, vertical: bool, x):
-    """(n, d) with Z(w) = (n / d) * Z(v) where wall_of(v, w) has coordinate x.
+def _ratio(v, w, vertical: bool, point):
+    """(n, d) with Z(w) = (n / d) * Z(v) on wall_of(v, w), times g.
 
-    Off a vertical wall x is s, and t = Im Z(w) / Im Z(v) depends on s
-    alone; along a vertical wall Im Z(v) vanishes, x is q, and
+    v and w are integer triples and point = (g, g*s, g*q) a point of the
+    wall with integer g != 0.  Off a vertical wall t = Im Z(w) / Im Z(v)
+    depends on s alone; along a vertical wall Im Z(v) vanishes and
     t = Re Z(w) / Re Z(v) depends on q alone.  d = 0 only at v's plane
-    point, where Z(v) = 0.
+    point, where Z(v) = 0.  The common factor g moves no sign of n, n*d,
+    d*d - n*d or d*d - n*n.
     """
+    g, gs, gq = point
     if vertical:
-        return central_charge((0, x), w).re, central_charge((0, x), v).re
-    return central_charge((x, 0), w).im, central_charge((x, 0), v).im
-
-
-def _crossing_ratio(v, w, vertical: bool, f0: int, f1: int, c0, c1):
-    """_ratio at a segment's crossing R with wall_of(v, w), times (f0 - f1)*m.
-
-    v and w are integer triples.  c0 and c1 are the segment's ends as
-    integer triples (m, m*s, m*q) with one m > 0, and f0 != f1 the values
-    det(v, w, c) at them, so R = (f0*c1 - f1*c0) / ((f0 - f1)*m).  Returns
-    the ints (n, d) of _ratio(v, w, vertical, x) at R, each multiplied by
-    the nonzero integer (f0 - f1)*m, which moves no sign of n*d or d*d - n*d.
-    """
-    g = (f0 - f1) * c0[0]
-    if vertical:
-        x = f0 * c1[2] - f1 * c0[2]  # g * R.q
-        return x * w[0] - w[2] * g, x * v[0] - v[2] * g
-    x = f0 * c1[1] - f1 * c0[1]  # g * R.s
-    return w[1] * g - x * w[0], v[1] * g - x * v[0]
+        return gq * w[0] - w[2] * g, gq * v[0] - v[2] * g
+    return w[1] * g - gs * w[0], v[1] * g - gs * v[0]
 
 
 def _same_strict_sign_somewhere(ends) -> bool:
@@ -309,35 +298,35 @@ def enumerate_candidate_walls(
     linear in the ch2 step k.  Walls of v form the pencil through v's plane
     point and det(v, w, corner) is linear in k, so the k whose wall misses
     the region are cut out in closed form by corner signs before any
-    witness is built.  With Z(w) = (n / d) * Z(v), (n, d) from _ratio, a
-    survivor is kept by one of two rules.
+    witness is built.  Both keep rules decide a survivor in ints from these
+    pencil forms f = det(v, w, corner), before any wall_of call: with
+    Z(w) = (n / d) * Z(v) on the wall, _ratio gives (n, d) times a common
+    nonzero integer at an integer point of it.
 
-    The public rule keeps it when n != 0 and n^2 < d^2 somewhere on the
-    meet.  It is tested only at the points wall_clip returns, its one point
-    or the two ends of a span: the Bogomolov bounds on k put the plane
-    points of w and v - w, where n and d - n vanish, on or below the
-    parabola, and every clip lies strictly above it.  So along a clip n and
-    d - n keep their signs, d + n changes sign at most once, and the kept
-    part, where n != 0 and (d - n)(d + n) > 0, is an interval that holds an
-    end.
+    The public rule keeps w when n != 0 and n^2 < d^2 somewhere on the
+    meet.  It is tested only at the points _meet returns, its one point or
+    the two ends of a span: the Bogomolov bounds on k put the plane points
+    of w and v - w, where n and d - n vanish, on or below the parabola, and
+    every meet lies strictly above it.  So along a meet n and d - n keep
+    their signs, d + n changes sign at most once, and the kept part, where
+    n != 0 and (d - n)(d + n) > 0, is an interval that holds an end.
 
     The split rule (split=True, region a SegmentRegion) keeps what the
     destabilization walk splits along: walls crossing the segment strictly
-    inside it, f0 * f1 < 0 for the pencil forms f = det(v, w, corner) at
-    start and end, with 0 < n*d < d^2 at the crossing R, i.e. n, d and
-    d - n of one strict sign there.  Off a vertical wall (V0*W1 != V1*W0
-    for the pair) n and d are linear in s alone, so a (rank, c1) pair is
-    skipped outright when no s in the segment's closed s-range gives the
-    three one strict sign.  The rule is exact: a transversal wall meets the
-    segment in R alone, the public rule's clip, and 0 < n*d < d^2 implies
-    n != 0 and n^2 < d^2, so the split rule keeps exactly the public rule's
-    witnesses that the walk splits along.  Each returned wall carries its
-    crossing, and the rule decides in ints before any wall_of call.
+    inside it, f0 * f1 < 0 at start and end, with 0 < n*d < d^2 at the
+    crossing R, i.e. n, d and d - n of one strict sign there.  Off a
+    vertical wall (V0*W1 != V1*W0 for the pair) n and d are linear in s
+    alone, so a (rank, c1) pair is skipped outright when no s in the
+    segment's closed s-range gives the three one strict sign.  The rule is
+    exact: a transversal wall meets the segment in R alone, the public
+    rule's meet, and 0 < n*d < d^2 implies n != 0 and n^2 < d^2, so the
+    split rule keeps exactly the public rule's witnesses that the walk
+    splits along.  Each returned wall carries its crossing.
 
     The scan runs in ints: M, the lcm of the denominators of v and of the
     lattice's scan_constants, makes M*w integral for every witness w, so
     the k bounds are exact floors and ceils by //, and one M > 0 on v and
-    w moves no wall line, no clip and no sign of n or d^2 - n^2.
+    w moves no wall line, no meet and no sign of n or d^2 - n^2.
     PreconditionError is raised when the bounds allow more than _SCAN_LIMIT
     (rank, c1) pairs, and before scanning any pair whose survivors would
     take their total over _SCAN_LIMIT.
@@ -357,8 +346,8 @@ def enumerate_candidate_walls(
         f = M // M_L
         H2, half_DD = H2 * f, half_DD * f
         c1_terms = [(w1 * f, c_base * f) for w1, c_base in c1_terms]
-    V0, V1, V2 = (int(x * M) for x in v.as_tuple())
-    vM = VTilde(V0, V1, V2)
+    V = V0, V1, V2 = tuple(int(x * M) for x in v.as_tuple())
+    vM = VTilde(*V)
     m = ring[0][0]
     qs = [q for _, _, q in ring]
     # m*M times the max of |Re Z(v)| over the region: linear, so corners suffice
@@ -366,7 +355,7 @@ def enumerate_candidate_walls(
     # det(v, w, corner) = w . (corner x v)
     normals = [(s * V2 - q * V1, q * V0 - m * V2, m * V1 - s * V0) for m, s, q in ring]
     if split:
-        (_, S0, _), (_, S1, _) = ring
+        (_, S0, Q0), (_, S1, Q1) = ring
         # m*M*Im Z(v) at start and end: the split rule's d off a vertical wall
         d0, d1 = normals[0][2], normals[1][2]
     found, crossing = {}, {}
@@ -409,22 +398,21 @@ def enumerate_candidate_walls(
                     f0, f1 = A0 + B0 * k, A1 + B1 * k
                     if f0 * f1 >= 0:
                         continue  # strict transversal crossings only
-                    n, d = _crossing_ratio((V0, V1, V2), w, vertical, f0, f1, *ring)
+                    # the segment's one edge crossing, as _meet writes it
+                    R = (m * (f0 - f1), f0 * S1 - f1 * S0, f0 * Q1 - f1 * Q0)
+                    n, d = _ratio(V, w, vertical, R)
                     if not 0 < n * d < d * d:
                         continue
-                    wall = wall_of(vM, VTilde(*w))
-                    crossing[wall.coeffs] = Fraction(f0, f0 - f1)
                 else:
-                    wM = VTilde(*w)
-                    if _proportional(vM, wM):  # also w = 0 and w = v
+                    if _proportional(V, w):  # also w = 0 and w = v
                         continue
-                    wall = wall_of(vM, wM)
-                    ratios = (
-                        _ratio(vM, wM, vertical, q if vertical else s)
-                        for s, q in region.wall_clip(wall)
-                    )
+                    f = [a + b * k for a, b in forms]
+                    ratios = (_ratio(V, w, vertical, p) for p in _meet(ring, f))
                     if not any(n != 0 and n * n < d * d for n, d in ratios):
                         continue
+                wall = wall_of(vM, VTilde(*w))
+                if split:
+                    crossing[wall.coeffs] = Fraction(f0, f0 - f1)
                 found.setdefault(wall.coeffs, set()).add(w)
     return [
         CandidateWall(
@@ -834,16 +822,16 @@ def _left_certificate(P, v, ch, L) -> Ext2Certificate:
         _fail("twisted charge vanishes at the translated parameter", data)
 
     if chord1 == chord2:
-        lo = A[0] if A[0] >= A2[0] else A2[0]
-        hi = B[0] if B[0] <= B2[0] else B2[0]
-        overlap = (hi - lo).sign()
-        if overlap > 0:
-            rx = rational_strictly_between(lo, hi)
-            ry = chord1.slope() * rx + chord1.y_intercept()
-            return _segments_branch(P, Q, v, vK, zP, zQK, (rx, ry), data)
-        if overlap == 0:
-            _fail("chords touch only on the parabola", data)
-        return _dominance_branch(P, Q, v, vK, zQK, data)
+        # This never certifies.  One chord gives A = A2 and B = B2, so a
+        # witness R lies strictly inside (A, B).  With vK0 = v0, Z_R(v) and
+        # Z_R(vK) are v0*i times Xv - R and XvK - R, and P, Q, R, Xv and XvK
+        # all lie on the chord.  On this branch XvK.x - Q.x = Xv.x - P.x > 0,
+        # and discriminant(v) >= 0 puts Xv at or beyond B, so lam_v is
+        # (0, the ray toward Xv).  Then R left of XvK gives lam_k the same
+        # lift (compare = 0), R = XvK a zero charge, and R right of XvK a
+        # half turn from Q.  A rank-zero v has failed above: its chord is
+        # vertical.
+        _fail("chords coincide", data)
 
     R = line_intersection(chord1, chord2)
     if not R.at_infinity:

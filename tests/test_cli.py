@@ -171,6 +171,25 @@ def test_ext2_skyscraper_exit_4_with_payload(capsys):
     assert doc["payload"]["v"] == ["0", "0", "1"]
 
 
+def test_ext2_equal_chords_exit_4(capsys, tmp_path):
+    # On the blow-up of P2 at a point both chords are one line here, and a
+    # witness on it would take the twisted charge through a half turn from
+    # Q; one chord is refused outright, as a certificate failure.
+    surface = tmp_path / "blowup.json"
+    surface.write_text(json.dumps(
+        {"basis": ["l", "e"], "gram": [["1", "0"], ["0", "-1"]], "H": ["2", "-1"],
+         "D": ["0", "0"], "K": ["-3", "1"], "chiO": "1"}
+    ))
+    code, doc = run_json(
+        capsys, "ext2", "--surface", str(surface), "--char", "1,-6,6,5",
+        "--s=-71/30", "--q=71/25",
+    )
+    assert code == 4
+    assert doc["error"] == "CertificateFailure"
+    assert doc["message"] == "chords coincide"
+    assert doc["payload"]["A"] == doc["payload"]["Ap"]
+
+
 def test_walls_segment_pinned(capsys):
     code, doc = run_json(
         capsys, "walls", "--surface", P2, "--char", "1,0,0",

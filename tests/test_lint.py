@@ -127,6 +127,19 @@ def test_one_hom_differential_formula():
     assert ("traces.py", "hom_differential") in d_columns_callers
 
 
+def test_one_integer_wall_decision():
+    # enumerate_candidate_walls decides witnesses in ints at the points of
+    # walls._meet; wall_clip only turns those points into Fractions
+    calls = {
+        (func, node.func.attr if isinstance(node.func, ast.Attribute) else _callee(node))
+        for name, func, node in _nodes()
+        if name == "walls.py" and isinstance(node, ast.Call)
+    }
+    assert ("enumerate_candidate_walls", "central_charge") not in calls
+    assert ("enumerate_candidate_walls", "wall_clip") not in calls
+    assert ("_wall_clip", "_meet") in calls
+
+
 def test_no_float_division_in_floor_or_ceil():
     # math.floor(a / b) on ints rounds a / b to a float first; exact integer
     # floors and ceils are a // b and -(-a // b)

@@ -24,7 +24,6 @@ from walland import (
     line_parabola_intersect,
     line_through,
     parabola_translate,
-    rational_strictly_between,
 )
 
 from walland import jsonio
@@ -260,40 +259,41 @@ def test_parabola_translate_preserves_shift():
         assert q.x == x + d
 
 
-def test_line_intersection_and_between():
+def test_line_intersection():
     l1 = PlaneLine.make(0, 1, 0)
     l2 = PlaneLine.make(-1, 0, 1)
     r = line_intersection(l1, l2)
     assert r.affine_pair() == (0, 1)
     with pytest.raises(PreconditionError):
         line_intersection(l1, PlaneLine.make(0, 2, 0))
-    m = rational_strictly_between(QuadNum(2, -1, 6), QuadNum(2, 1, 6))
-    assert QuadNum(2, -1, 6) < m < QuadNum(2, 1, 6)
-    with pytest.raises(PreconditionError):
-        rational_strictly_between(QuadNum(1), QuadNum(1))
 
 
-def test_rational_strictly_between_is_exact_and_simplest():
-    # both once failed through float midpoints: too thin, too large
-    assert rational_strictly_between(F(1, 10**30), F(2, 10**30)) == F(1, 5 * 10**29 + 1)
-    assert rational_strictly_between(10**400, 10**400 + 1) == 10**400 + F(1, 2)
-    half = rational_strictly_between(3, 4)
-    assert half == F(7, 2) and isinstance(half, Fraction)
-    assert rational_strictly_between(F(1, 10), F(2, 5)) == F(1, 3)
-    assert rational_strictly_between(F(-2, 5), F(-1, 10)) == F(-1, 3)
-    assert rational_strictly_between(F(-1), F(1)) == 0
-    assert rational_strictly_between(F(3), F(7, 2)) == F(10, 3)
-    assert rational_strictly_between(QuadNum(0, 1, 2), QuadNum(F(3, 2))) == F(10, 7)
-    r2 = QuadNum(0, 1, 2)
-    thin = rational_strictly_between(r2, r2 + F(1, 10**40))
-    assert r2 < thin < r2 + F(1, 10**40)
-    rng = random.Random(459)
-    for _ in range(200):
-        lo = QuadNum(rand_frac(rng), rand_frac(rng), rng.randint(0, 30))
-        hi = lo + F(rng.randint(1, 5), rng.randint(1, 10**rng.randint(1, 12)))
-        r = rational_strictly_between(lo, hi)
-        assert lo < r < hi
-        # no smaller denominator fits strictly between
-        for den in range(1, min(r.denominator, 40)):
-            num = math.floor(lo.approx() * den) - 1
-            assert not any(lo < F(n, den) < hi for n in range(num, num + 4))
+def _floor_oracle(x: QuadNum) -> int:
+    # Fraction bounds lo < sqrt(d) < lo + 1/N around an irrational root
+    if x.b == 0:
+        return math.floor(x.a)
+    N = 10**40
+    lo = F(math.isqrt(x.d.numerator * x.d.denominator * N * N), x.d.denominator * N)
+    ends = sorted((x.a + x.b * lo, x.a + x.b * (lo + F(1, N))))
+    assert math.floor(ends[0]) == math.ceil(ends[1]) - 1  # one integer part
+    return math.floor(ends[0])
+
+
+def test_quadnum_floor_is_exact():
+    cases = [
+        QuadNum(0, 1, 2), QuadNum(0, -1, 2), QuadNum(-5, 1, 2), QuadNum(5, -1, 2),
+        QuadNum(F(1, 3), F(-2, 5), 7), QuadNum(F(-7, 2), F(3, 4), F(5, 3)),
+        # perfect squares: QuadNum(1, 1, 4) is 3, so isqrt(T) is exact
+        QuadNum(1, 1, 4), QuadNum(F(-7, 2)), QuadNum(-3), QuadNum(F(7, 2), 0, 2),
+        # beyond float range, where the display path floors ray components
+        QuadNum(10**400, 1, 2), QuadNum(-(10**400), -1, 3),
+    ]
+    assert [math.floor(x) for x in cases] == [
+        1, -2, -4, 3, -1, -3, 3, -4, -3, 3, 10**400 + 1, -(10**400) - 2,
+    ]
+    rng = random.Random(461)
+    for _ in range(300):
+        x = QuadNum(rand_frac(rng), rand_frac(rng), rng.randint(0, 30))
+        n = math.floor(x)
+        assert n == _floor_oracle(x), x
+        assert QuadNum(n) <= x < QuadNum(n + 1)

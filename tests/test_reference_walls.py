@@ -100,6 +100,18 @@ DEGENERATE = [
     # nothing to enumerate at rank bound zero, and a c1-only scan
     (V(1, 0, -1), "segment", ((F(-2), F(5, 2)), (F(-1, 2), F(3, 4))), (0, 0)),
     (V(1, 0, -1), "box", (-2, 0, 3, 4), (0, 5)),
+    # n^2 = d^2 at exactly one end: the wall q = 5s/2 - 1 of w = (0, 1, 5/2)
+    # meets the box at (7/10, 3/4) and at the corner (1, 3/2), the plane
+    # point of v + w, where n = -d; t = -1/s, so the meet holds no t in (-1, 1)
+    (V(1, 0, -1), "box", (F(1, 2), 1, F(3, 4), F(3, 2)), (3, 5)),
+    # a box edge on a non-vertical wall: the top edge lies on the wall
+    # q = 5/2 of w = (0, -2, 0), with t = -2/(3 - s)
+    (V(1, 3, F(5, 2)), "box", (-1, 1, 2, F(5, 2)), (3, 5)),
+    # d = 0 at exactly one end: v's plane point (0, 1) lies above the
+    # parabola, at a corner, so every wall meets the box there.  n = 0 is
+    # never met: it needs w's plane point above the parabola, which the
+    # Bogomolov bounds on k exclude
+    (V(1, 0, 1), "box", (0, 1, 1, 2), (3, 5)),
 ]
 
 

@@ -37,7 +37,7 @@ from walland import (
 )
 from walland.jsonio import dumps_canonical
 from walland.walls import (
-    _crossing_ratio,
+    _meet,
     _pencil_ks,
     _ratio,
     _same_strict_sign_somewhere,
@@ -200,30 +200,41 @@ def test_same_strict_sign_somewhere_matches_oracle():
     assert _same_strict_sign_somewhere([(2, -1), (-1, 2)])
 
 
-def test_crossing_ratio_is_ratio_scaled():
+def test_ratio_is_scaled_charge_ratio_at_meet_points():
+    # at each point (g, g*s, g*q) that _meet returns, _ratio is g times the
+    # ratio of the charges at (s, q): Re parts on a vertical wall, else Im
     rng = random.Random(7102)
-    done = 0
-    while done < 300:
+    kinds = set()
+    for _ in range(600):
         v = tuple(rng.randint(-6, 6) for _ in range(3))
         w = tuple(rng.randint(-6, 6) for _ in range(3))
-        m = rng.randint(1, 5)
-        c0, c1 = ((m, rng.randint(-9, 9), rng.randint(1, 20)) for _ in range(2))
         # det(v, w, c) = c . (v x w)
         normal = (
             v[1] * w[2] - v[2] * w[1],
             v[2] * w[0] - v[0] * w[2],
             v[0] * w[1] - v[1] * w[0],
         )
-        f0, f1 = (sum(a * b for a, b in zip(c, normal)) for c in (c0, c1))
-        if f0 == f1:
-            continue
-        g = (f0 - f1) * m
-        s = F(f0 * c1[1] - f1 * c0[1], g)
-        q = F(f0 * c1[2] - f1 * c0[2], g)
+        m = rng.randint(1, 5)
+        S0, S1 = sorted(rng.randint(-9, 9) for _ in range(2))
+        T0, T1 = sorted(rng.randint(1, 20) for _ in range(2))
+        if rng.random() < 0.5:
+            ring = ((m, S0, rng.randint(1, 20)), (m, S1, rng.randint(1, 20)))
+        else:
+            ring = ((m, S0, T0), (m, S0, T1), (m, S1, T1), (m, S1, T0))
+        f = [sum(a * b for a, b in zip(c, normal)) for c in ring]
         vertical = normal[2] == 0
-        n, d = _ratio(VTilde(*v), VTilde(*w), vertical, q if vertical else s)
-        assert _crossing_ratio(v, w, vertical, f0, f1, c0, c1) == (g * n, g * d)
-        done += 1
+        for point in _meet(ring, f):
+            g, gs, gq = point
+            assert sum(a * b for a, b in zip(point, normal)) == 0
+            s, q = F(gs, g), F(gq, g)
+            zv, zw = central_charge((s, q), V(*v)), central_charge((s, q), V(*w))
+            n, d = (zw.re, zv.re) if vertical else (zw.im, zv.im)
+            assert _ratio(v, w, vertical, point) == (g * n, g * d), (v, w, ring)
+            kind = "corner" if point in ring else ("segment", "box")[len(ring) == 4]
+            kinds.add((kind, g > 0))
+    assert kinds >= {
+        ("corner", True), ("segment", True), ("segment", False), ("box", True), ("box", False)
+    }
 
 
 def _split_scan(v, P, Q, L, bounds=(3, 5)):
@@ -643,8 +654,8 @@ def test_certificate_fuzz_left_side(p2):
 
 def test_certificate_equal_chords_branch():
     # On the blow-up of P2 at a point K is not a multiple of H, so the
-    # twist need not shear the chord: here both chords are one line, the
-    # overlap's simplest rational is s = 0, and the phase test fails there.
+    # twist need not shear the chord: here both chords are one line, which
+    # never certifies (see _left_certificate).
     L = SurfaceLattice.from_dict(
         {"basis": ["l", "e"], "gram": [["1", "0"], ["0", "-1"]], "H": ["2", "-1"],
          "D": ["0", "0"], "K": ["-3", "1"], "chiO": "1"}
@@ -653,7 +664,7 @@ def test_certificate_equal_chords_branch():
     ch = CharVec.make(1, [1, 4], F(9, 2))
     with pytest.raises(CertificateFailure) as exc:
         ext2_vanishing_certificate(SP(F(43, 30), F(29, 25)), vtilde(ch, L), ch, L)
-    assert str(exc.value) == "phase inequality fails at the chord intersection"
+    assert str(exc.value) == "chords coincide"
     payload = exc.value.payload
-    assert payload["R"] == {"s": "0", "q": "3/10"}
+    assert "R" not in payload
     assert (payload["A"], payload["B"]) == (payload["Ap"], payload["Bp"])
