@@ -8,14 +8,13 @@ byte-deterministic: sorted keys, two-space indent, trailing newline.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .errors import SchemaError
 from .plane import QuadNum, parse_frac
 
 
 def frac_str(f) -> str:
-    return str(Fraction(f))
+    return str(parse_frac(f))
 
 
 def quad_to_json(x) -> dict:

@@ -64,6 +64,11 @@ class SurfaceLattice:
     D: DivisorClass
     K: DivisorClass
     chiO: Fraction
+    # H^2, H.K, K^2, D^2: the only pairings of two fixed classes, set once
+    HH: Fraction = field(init=False, repr=False, compare=False)
+    HK: Fraction = field(init=False, repr=False, compare=False)
+    KK: Fraction = field(init=False, repr=False, compare=False)
+    DD: Fraction = field(init=False, repr=False, compare=False)
     # (c1_bound, scan_constants(c1_bound)) of the last scan, filled on first use
     _scan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -71,16 +76,15 @@ class SurfaceLattice:
         n = len(self.basis)
         if len(self.gram) != n or any(len(row) != n for row in self.gram):
             raise SchemaError("gram matrix shape does not match basis")
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise SchemaError("gram matrix must be symmetric")
-        for d in (self.H, self.D, self.K):
-            if len(d.coords) != n:
-                raise DimensionMismatch("divisor coordinates do not match basis")
-        if self.pair(self.H, self.H) <= 0:
+        if any(tuple(row) != col for row, col in zip(self.gram, zip(*self.gram))):
+            raise SchemaError("gram matrix must be symmetric")
+        H, D, K = self.H, self.D, self.K
+        # pair raises DimensionMismatch for a class of the wrong length
+        for name, a, b in (("HH", H, H), ("HK", H, K), ("KK", K, K), ("DD", D, D)):
+            object.__setattr__(self, name, self.pair(a, b))  # frozen dataclass
+        if self.HH <= 0:
             raise PreconditionError("polarization must have positive self-intersection")
-        if self.pair(self.H, self.D) != 0:
+        if self.pair(H, D) != 0:
             raise PreconditionError("twist divisor must be orthogonal to H")
 
     @property
@@ -103,7 +107,7 @@ class SurfaceLattice:
     @property
     def poisson_mode(self) -> bool:
         """True when H.K < 0, the regime where anticanonical sections exist."""
-        return self.pair(self.H, self.K) < 0
+        return self.HK < 0
 
     def scan_constants(self, c1_bound: int):
         """Integer constants of a wall scan over |c1 coords| <= c1_bound.
@@ -120,14 +124,9 @@ class SurfaceLattice:
         for coords in product(range(-c1_bound, c1_bound + 1), repeat=self.rank):
             c = self.divisor(coords)
             terms.append((self.pair(self.H, c), self.pair(c, c) / 2 - self.pair(self.D, c)))
-        H2, half_DD = self.pair(self.H, self.H), self.pair(self.D, self.D) / 2
-        M = math.lcm(*(x.denominator for x in chain((H2, half_DD), *terms)))
-        out = (
-            M,
-            int(H2 * M),
-            int(half_DD * M),
-            tuple((int(a * M), int(b * M)) for a, b in terms),
-        )
+        M = math.lcm(*(x.denominator for x in chain((self.HH, self.DD / 2), *terms)))
+        out = (M, int(self.HH * M), int(self.DD * M / 2),
+               tuple((int(a * M), int(b * M)) for a, b in terms))
         object.__setattr__(self, "_scan", (c1_bound, out))  # frozen dataclass
         return out
 
@@ -259,41 +258,35 @@ class VTilde:
         return [str(self.v0), str(self.v1), str(self.v2)]
 
 
+def _exp_ch2(ch: CharVec, Xc1: Fraction, XX: Fraction) -> Fraction:
+    """Degree-2 part of ch*exp(X) from X.c1 and X^2: e + X.c1 + r X^2/2."""
+    return ch.e + Xc1 + ch.r * XX / 2
+
+
+def _times_exp(ch: CharVec, X: DivisorClass, XX: Fraction, L: SurfaceLattice) -> CharVec:
+    """ch*exp(X) = (r, c1 + r X, e + X.c1 + r X^2/2), X^2 = XX read off L."""
+    return CharVec(ch.r, ch.c1 + X.scale(ch.r), _exp_ch2(ch, L.pair(X, ch.c1), XX))
+
+
 def twist_char(ch: CharVec, L: SurfaceLattice) -> CharVec:
     """Multiply by exp(-D): (r, c1 - r D, e - D.c1 + r D^2/2)."""
-    D = L.D
-    return CharVec(
-        ch.r,
-        ch.c1 - D.scale(ch.r),
-        ch.e - L.pair(D, ch.c1) + ch.r * L.pair(D, D) / 2,
-    )
+    return _times_exp(ch, -L.D, L.DD, L)
 
 
 def untwist_char(ch: CharVec, L: SurfaceLattice) -> CharVec:
     """Inverse of twist_char (multiply by exp(D))."""
-    D = L.D
-    return CharVec(
-        ch.r,
-        ch.c1 + D.scale(ch.r),
-        ch.e + L.pair(D, ch.c1) + ch.r * L.pair(D, D) / 2,
-    )
+    return _times_exp(ch, L.D, L.DD, L)
 
 
 def vtilde(ch: CharVec, L: SurfaceLattice) -> VTilde:
-    """Project the D-twisted character onto (H^2 ch0, H.ch1, ch2)."""
-    t = twist_char(ch, L)
-    H = L.H
-    return VTilde(L.pair(H, H) * t.r, L.pair(H, t.c1), t.e)
+    """Project the D-twisted character onto (H^2 ch0, H.ch1, ch2); H.ch1 is
+    H.(c1 - r D) = H.c1, since __post_init__ enforces H.D = 0."""
+    return VTilde(L.HH * ch.r, L.pair(L.H, ch.c1), _exp_ch2(ch, -L.pair(L.D, ch.c1), L.DD))
 
 
 def tensor_by_K(ch: CharVec, L: SurfaceLattice) -> CharVec:
     """Character of E tensor the canonical bundle: multiply by exp(K)."""
-    K = L.K
-    return CharVec(
-        ch.r,
-        ch.c1 + K.scale(ch.r),
-        ch.e + L.pair(ch.c1, K) + ch.r * L.pair(K, K) / 2,
-    )
+    return _times_exp(ch, L.K, L.KK, L)
 
 
 def derived_dual(ch: CharVec) -> CharVec:

@@ -11,6 +11,7 @@ exact sign computation; floats appear only in display helpers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -24,18 +25,37 @@ Rat = Union[int, Fraction]
 def parse_frac(x) -> Fraction:
     """The one rational coercion: a Fraction as is, an int, or a "p/q" string.
 
-    Anything else, floats included, raises SchemaError.
+    Anything else, floats and bools included, raises SchemaError; a literal
+    too long to print, such as "1e5000", raises PreconditionError.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            return _exponent_literal(x) if "e" in x.lower() else Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad rational literal {x!r}") from exc
     raise SchemaError(f"not a rational: {x!r}")
+
+
+def _exponent_literal(x: str) -> Fraction:
+    """Fraction(x) for "<mantissa>e<exp>", refused before 10**exp is expanded
+    when the value has a numerator or denominator past the print limit."""
+    mantissa, _, exp = x.lower().partition("e")
+    if exp[:1].isspace():  # int() takes a leading space that Fraction refuses
+        raise ValueError("bad exponent")
+    m, E, limit = Fraction(mantissa + "e0"), int(exp), sys.get_int_max_str_digits()
+    if m == 0 or not limit:  # 0 needs no 10**exp; a limit of 0 is no limit
+        return m and Fraction(x)
+    # |m| and 1/|m| are below 2**bits: for E >= 0 the numerator is over
+    # 10**E / 2**bits, for E < 0 the denominator over 10**-E / 2**bits
+    if abs(E) < limit + m.numerator.bit_length() + m.denominator.bit_length():
+        f = Fraction(x)
+        if max(abs(f.numerator), f.denominator) < 10**limit:
+            return f
+    raise PreconditionError(f"{x!r} has a number beyond the {limit}-digit print limit")
 
 
 def _sq_root_if_perfect(f: Fraction):
@@ -60,9 +80,7 @@ class QuadNum:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0, d=0):
-        a = parse_frac(a)
-        b = parse_frac(b)
-        d = parse_frac(d)
+        a, b, d = parse_frac(a), parse_frac(b), parse_frac(d)
         if d < 0:
             raise PreconditionError("negative radicand")
         if b == 0:
@@ -73,9 +91,7 @@ class QuadNum:
             r = _sq_root_if_perfect(d)
             if r is not None:
                 a, b, d = a + b * r, Fraction(0), Fraction(0)
-        self.a = a
-        self.b = b
-        self.d = d
+        self.a, self.b, self.d = a, b, d
 
     # -- field discipline ------------------------------------------------
 
@@ -227,24 +243,18 @@ def sign_of(x: Coord) -> int:
 
 def _int_triple(c0: Fraction, c1: Fraction, c2: Fraction):
     """The triple times the lcm of its denominators: integers, same ratios."""
-    lcm = 1
-    for f in (c0, c1, c2):
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
+    lcm = math.lcm(c0.denominator, c1.denominator, c2.denominator)
     return [f.numerator * (lcm // f.denominator) for f in (c0, c1, c2)]
 
 
 def _canonical_int_triple(c0: Fraction, c1: Fraction, c2: Fraction):
     a = _int_triple(c0, c1, c2)
-    g = gcd(gcd(abs(a[0]), abs(a[1])), abs(a[2]))
+    g = gcd(*a)
     if g == 0:
         raise PreconditionError("zero homogeneous triple")
-    a = [x // g for x in a]
-    for x in a:
-        if x != 0:
-            if x < 0:
-                a = [-y for y in a]
-            break
-    return tuple(a)
+    if (a[0] or a[1] or a[2]) < 0:  # the first nonzero entry comes out positive
+        g = -g
+    return (a[0] // g, a[1] // g, a[2] // g)
 
 
 @dataclass(frozen=True)

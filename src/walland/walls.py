@@ -780,10 +780,7 @@ def _dual_certificate(P, v, ch, L) -> Ext2Certificate:
 
 
 def _left_certificate(P, v, ch, L) -> Ext2Certificate:
-    HH = L.pair(L.H, L.H)
-    HK = L.pair(L.H, L.K)
-    delta = HK / HH
-    Qpt = parabola_translate(P.plane_point(), delta)
+    Qpt = parabola_translate(P.plane_point(), L.HK / L.HH)
     Q = StabPoint(Qpt.x, Qpt.y)
     chK = tensor_by_K(ch, L)
     vK = vtilde(chK, L)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,33 @@ def test_result_too_long_to_print_exit_3(argv):
     assert code == 3
     assert "Traceback" not in err + out
     assert json.loads(out)["error"] == "PreconditionError"
+
+
+@pytest.mark.parametrize(
+    "char, code, doc",
+    [
+        ("1,0,1e10000000", 3, {"error": "PreconditionError"}),
+        ("1,0,0e10000000", 0, {"expected_dim": "0"}),
+    ],
+)
+def test_exponent_literal_decided_before_expanding(char, code, doc):
+    # 10**10000000 alone takes seconds; neither answer needs it
+    start = time.perf_counter()
+    got_code, out, err = run_process("dim", "--surface", P2, "--char", char)
+    assert time.perf_counter() - start < 2
+    assert got_code == code and "Traceback" not in err + out
+    assert doc.items() <= json.loads(out).items()
+
+
+def test_boolean_surface_entries_exit_2(capsys, tmp_path):
+    surface = tmp_path / "bools.json"
+    surface.write_text(json.dumps(
+        {"basis": ["h"], "gram": [[True]], "H": [True], "D": [False], "K": ["0"],
+         "chiO": "1"}
+    ))
+    code, doc = run_json(capsys, "dim", "--surface", str(surface), "--char", "1,0,0")
+    assert code == 2
+    assert doc["error"] == "SchemaError"
 
 
 def test_charge_boundary_point_exit_3(capsys):

@@ -12,6 +12,7 @@ from walland import (
     PreconditionError,
     SchemaError,
     SurfaceLattice,
+    VTilde,
     derived_dual,
     discriminant,
     euler_pairing,
@@ -22,6 +23,7 @@ from walland import (
 )
 
 from conftest import SURFACE_DIR, rand_frac
+from test_reference_walls import ODD_SCALE
 
 F = Fraction
 
@@ -97,6 +99,34 @@ def test_twist_untwist_inverse(product_surface):
         ch = rand_char(rng, product_surface)
         assert untwist_char(twist_char(ch, product_surface), product_surface) == ch
         assert twist_char(untwist_char(ch, product_surface), product_surface) == ch
+
+
+def test_constants_and_twists_match_pair_definitions(p2, quartic, product_surface):
+    # the lattice's constant fields and the one exp-twist against their
+    # definitions written with pair alone; p1xp1_twisted and the ODD_SCALE
+    # lattices have D != 0, or D^2 and H^2 that are not integers
+    odd = [SurfaceLattice.from_dict(ODD_SCALE[name]) for name in sorted(ODD_SCALE)]
+    rng = random.Random(2025)
+    for L in [p2, quartic, product_surface] + odd:
+        H, D, K = L.H, L.D, L.K
+        assert (L.HH, L.HK, L.KK, L.DD) == (
+            L.pair(H, H), L.pair(H, K), L.pair(K, K), L.pair(D, D)
+        )
+        again = SurfaceLattice.from_dict(json.loads(json.dumps(L.to_dict())))
+        assert again == L and hash(again) == hash(L) and repr(again) == repr(L)
+        assert "HH" not in repr(L)
+        for _ in range(60):
+            ch = rand_char(rng, L)
+            r, c1, e = ch.r, ch.c1, ch.e
+            t = CharVec(r, c1 - D.scale(r), e - L.pair(D, c1) + r * L.pair(D, D) / 2)
+            assert twist_char(ch, L) == t
+            assert untwist_char(ch, L) == CharVec(
+                r, c1 + D.scale(r), e + L.pair(D, c1) + r * L.pair(D, D) / 2
+            )
+            assert tensor_by_K(ch, L) == CharVec(
+                r, c1 + K.scale(r), e + L.pair(K, c1) + r * L.pair(K, K) / 2
+            )
+            assert vtilde(ch, L) == VTilde(L.pair(H, H) * t.r, L.pair(H, t.c1), t.e)
 
 
 def test_vtilde_examples(p2):

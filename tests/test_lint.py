@@ -155,3 +155,73 @@ def test_no_float_division_in_floor_or_ceil():
         )
     )
     assert found == []
+
+
+def _fixed_class(node) -> bool:
+    # L.H, self.K, ... or a local H, K or D bound to one
+    fixed = ("H", "K", "D")
+    return (isinstance(node, ast.Attribute) and node.attr in fixed) or (
+        isinstance(node, ast.Name) and node.id in fixed
+    )
+
+
+def test_fixed_classes_paired_once():
+    # H^2, H.K, K^2 and D^2 are fields that SurfaceLattice.__post_init__
+    # sets, and it alone pairs two of H, K and D (H.D = 0 is checked there)
+    sites = sorted(
+        {
+            (name, func)
+            for name, func, node in _nodes()
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pair"
+            and len(node.args) == 2
+            and all(_fixed_class(arg) for arg in node.args)
+        }
+    )
+    assert sites == [("lattice.py", "__post_init__")]
+
+
+def _writes_exp_twist(node):
+    # <ch>.r * <X^2> / 2 and <X>.scale(<ch>.r): the terms of ch*exp(X)
+    if (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 2
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Mult)
+        and isinstance(node.left.left, ast.Attribute)
+        and node.left.left.attr == "r"
+    ):
+        return "r*X^2/2"
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "scale"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Attribute)
+        and node.args[0].attr == "r"
+    ):
+        return "r*X"
+    return None
+
+
+def test_one_exp_twist_formula():
+    # twist_char, untwist_char and tensor_by_K are ch*exp(X) for X = -D, D
+    # and K through lattice._times_exp; vtilde shares its degree-2 part
+    sites = sorted(
+        (name, func, term)
+        for name, func, node in _nodes()
+        if (term := _writes_exp_twist(node))
+    )
+    assert sites == [
+        ("lattice.py", "_exp_ch2", "r*X^2/2"),
+        ("lattice.py", "_times_exp", "r*X"),
+    ]
+    callers = {
+        func
+        for name, func, node in _nodes()
+        if isinstance(node, ast.Call) and _callee(node) == "_times_exp"
+    }
+    assert callers == {"twist_char", "untwist_char", "tensor_by_K"}

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -44,10 +45,36 @@ def test_parse_frac_contract():
     assert parse_frac(5) == 5 and type(parse_frac(5)) is F
     assert parse_frac("-7/4") == F(-7, 4)
     assert parse_frac(" 2 ") == 2
-    for bad in ("1/0", "nan", "x", "", 0.5, None, [1]):
+    for bad in ("1/0", "nan", "x", "", 0.5, None, [1], True, False, "1e", "1e 5", "1/2e5"):
         with pytest.raises(SchemaError):
             parse_frac(bad)
     assert jsonio.parse_frac is parse_frac
+
+
+def test_parse_frac_exponent_at_the_print_limit():
+    # a value whose numerator or denominator has more digits than Python
+    # prints is refused when parsed; one digit fewer parses exactly
+    n = sys.get_int_max_str_digits()
+    for fits, too_long in (
+        (f"1e{n - 1}", f"1e{n}"),  # numerator 10**exp
+        (f"-7e-{n - 1}", f"-7e-{n}"),  # denominator 10**-exp
+        (f"0.001e{n + 2}", f"0.001e{n + 3}"),  # fractional mantissa
+        (f"0.5e-{n - 1}", f"0.5e-{n}"),  # 5/10**n = 1/(2*10**(n-1))
+    ):
+        f = parse_frac(fits)
+        assert len(str(abs(f.numerator))) <= n and len(str(f.denominator)) <= n
+        with pytest.raises(PreconditionError):
+            parse_frac(too_long)
+    assert parse_frac(f"1e{n - 1}") == 10 ** (n - 1)
+    assert parse_frac("25e-2") == F(1, 4) and parse_frac("+1_0E+0_1") == 100
+
+
+def test_parse_frac_huge_exponents_decided_without_expanding():
+    # 10**exponent here would take minutes; the answer needs none of it
+    assert parse_frac("0e10000000000") == 0 and parse_frac("-0.000e-99999999999") == 0
+    for x in ("1e10000000000", "1e-10000000000", "-3.5e99999999999"):
+        with pytest.raises(PreconditionError):
+            parse_frac(x)
 
 
 def test_floats_rejected_with_schema_error():
