@@ -12,7 +12,6 @@ import argparse
 import os
 import random
 import sys
-from fractions import Fraction
 
 from .errors import CertificateFailure, PreconditionError, SchemaError, WallandError
 from .jsonio import dumps_canonical, parse_frac

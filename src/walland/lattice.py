@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
-from typing import Sequence
 
 from .errors import DimensionMismatch, PreconditionError, SchemaError
 from .plane import PlanePoint, parse_frac
@@ -112,21 +112,20 @@ class SurfaceLattice:
     def scan_constants(self, c1_bound: int):
         """Integer constants of a wall scan over |c1 coords| <= c1_bound.
 
-        Returns (M, M*H^2, M*D^2/2, terms), terms holding (M*H.c,
-        M*(c^2/2 - D.c)) for every c in the c1 box in product order, and M
-        the lcm of the denominators of H^2, D^2/2 and every term, so all
-        of them are ints.  They depend on the lattice and the bound alone,
-        so the last bound's constants are kept on the instance.
+        Returns (M, M*H^2, M*D^2/2, classes), M the lcm of the denominators
+        of H^2, D^2/2, H.c and c^2/2 - D.c over the box, so all are ints,
+        and classes one (M*H.c, M*(c^2/2 - D.c) mod M, multiplicity) per
+        class of c alike in both, in product order.  The last bound's
+        constants are kept on the instance: they depend on nothing else.
         """
         if self._scan is not None and self._scan[0] == c1_bound:
             return self._scan[1]
-        terms = []
-        for coords in product(range(-c1_bound, c1_bound + 1), repeat=self.rank):
-            c = self.divisor(coords)
-            terms.append((self.pair(self.H, c), self.pair(c, c) / 2 - self.pair(self.D, c)))
+        box = map(self.divisor, product(range(-c1_bound, c1_bound + 1), repeat=self.rank))
+        terms = [(self.pair(self.H, c), self.pair(c, c) / 2 - self.pair(self.D, c)) for c in box]
         M = math.lcm(*(x.denominator for x in chain((self.HH, self.DD / 2), *terms)))
+        classes = Counter((int(a * M), int(b * M) % M) for a, b in terms)
         out = (M, int(self.HH * M), int(self.DD * M / 2),
-               tuple((int(a * M), int(b * M)) for a, b in terms))
+               tuple((a, b, n) for (a, b), n in classes.items()))
         object.__setattr__(self, "_scan", (c1_bound, out))  # frozen dataclass
         return out
 

@@ -11,6 +11,7 @@ exact sign computation; floats appear only in display helpers.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,34 +20,37 @@ from typing import Union
 
 from .errors import MixedRadicalError, PreconditionError, SchemaError
 
-Rat = Union[int, Fraction]
-
 
 def parse_frac(x) -> Fraction:
     """The one rational coercion: a Fraction as is, an int, or a "p/q" string.
 
     Anything else, floats and bools included, raises SchemaError; a literal
-    too long to print, such as "1e5000", raises PreconditionError.
+    too long to print ("1e5000", 5000 digits) raises PreconditionError.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        limit = sys.get_int_max_str_digits()
+        shown = repr(x) if len(x) <= 60 else f"{x[:40]!r}... ({len(x)} characters)"
+        # Fraction() passes each digit run to int(), which refuses over limit digits
+        if 0 < limit < len(x) and re.search(rf"(?<!\d)\d{{{limit + 1}}}", x.replace("_", "")):
+            raise PreconditionError(f"{shown} has over {limit} digits in a row")
         try:
-            return _exponent_literal(x) if "e" in x.lower() else Fraction(x)
+            return _exponent_literal(x, shown, limit) if "e" in x.lower() else Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational literal {x!r}") from exc
+            raise SchemaError(f"bad rational literal {shown}") from exc
     raise SchemaError(f"not a rational: {x!r}")
 
 
-def _exponent_literal(x: str) -> Fraction:
+def _exponent_literal(x: str, shown: str, limit: int) -> Fraction:
     """Fraction(x) for "<mantissa>e<exp>", refused before 10**exp is expanded
     when the value has a numerator or denominator past the print limit."""
     mantissa, _, exp = x.lower().partition("e")
     if exp[:1].isspace():  # int() takes a leading space that Fraction refuses
         raise ValueError("bad exponent")
-    m, E, limit = Fraction(mantissa + "e0"), int(exp), sys.get_int_max_str_digits()
+    m, E = Fraction(mantissa + "e0"), int(exp)
     if m == 0 or not limit:  # 0 needs no 10**exp; a limit of 0 is no limit
         return m and Fraction(x)
     # |m| and 1/|m| are below 2**bits: for E >= 0 the numerator is over
@@ -55,7 +59,7 @@ def _exponent_literal(x: str) -> Fraction:
         f = Fraction(x)
         if max(abs(f.numerator), f.denominator) < 10**limit:
             return f
-    raise PreconditionError(f"{x!r} has a number beyond the {limit}-digit print limit")
+    raise PreconditionError(f"{shown} has a number beyond the {limit}-digit print limit")
 
 
 def _sq_root_if_perfect(f: Fraction):

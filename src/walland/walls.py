@@ -44,7 +44,6 @@ from .lattice import (
 from .plane import (
     ParabolaShift,
     PlaneLine,
-    PlanePoint,
     line_intersection,
     line_parabola_intersect,
     line_through,
@@ -326,10 +325,10 @@ def enumerate_candidate_walls(
     The scan runs in ints: M, the lcm of the denominators of v and of the
     lattice's scan_constants, makes M*w integral for every witness w, so
     the k bounds are exact floors and ceils by //, and one M > 0 on v and
-    w moves no wall line, no meet and no sign of n or d^2 - n^2.
+    w moves no wall line, no meet and no sign of n or d^2 - n^2.  Every
+    test reads w alone, so each c1 class of scan_constants is scanned once.
     PreconditionError is raised when the bounds allow more than _SCAN_LIMIT
-    (rank, c1) pairs, and before scanning any pair whose survivors would
-    take their total over _SCAN_LIMIT.
+    (rank, c1) pairs, or survivors counted per c1 vector would pass it.
     """
     bounds = EnumerationBounds(rank_bound, c1_bound)
     if v.is_zero:
@@ -340,12 +339,11 @@ def enumerate_candidate_walls(
     ring = region.ring
     if split and len(ring) != 2:
         raise PreconditionError("the split rule needs a segment region")
-    M_L, H2, half_DD, c1_terms = L.scan_constants(bounds.c1_bound)
+    M_L, H2, half_DD, classes = L.scan_constants(bounds.c1_bound)
     M = math.lcm(M_L, *(x.denominator for x in v.as_tuple()))
-    if M != M_L:
-        f = M // M_L
-        H2, half_DD = H2 * f, half_DD * f
-        c1_terms = [(w1 * f, c_base * f) for w1, c_base in c1_terms]
+    f = M // M_L  # c = c' mod M_L exactly when f*c = f*c' mod M
+    H2, half_DD = H2 * f, half_DD * f
+    classes = [(w1 * f, c_base * f, n) for w1, c_base, n in classes]
     V = V0, V1, V2 = tuple(int(x * M) for x in v.as_tuple())
     vM = VTilde(*V)
     m = ring[0][0]
@@ -365,7 +363,7 @@ def enumerate_candidate_walls(
         env_lo = min(q * W0 for q in qs) - envelope
         env_hi = max(q * W0 for q in qs) + envelope
         r_base = half_DD * r
-        for W1, c_base in c1_terms:
+        for W1, c_base, n_c1 in classes:
             vertical = V0 * W1 == V1 * W0
             if split and not vertical:
                 n0, n1 = m * W1 - S0 * W0, m * W1 - S1 * W0
@@ -387,7 +385,7 @@ def enumerate_candidate_walls(
                 k_hi = min(k_hi, (2 * U0 * (V2 - B) - U1 * U1) // (2 * U0 * M))
             forms = [(W0 * n0 + W1 * n1 + B * n2, M * n2) for n0, n1, n2 in normals]
             ks = _pencil_ks(k_lo, k_hi, forms)
-            budget -= sum(max(0, span.stop - span.start) for span in ks)
+            budget -= n_c1 * sum(max(0, span.stop - span.start) for span in ks)
             if budget < 0:
                 raise PreconditionError(f"scan would pass {_SCAN_LIMIT} witnesses")
             if split:

@@ -115,6 +115,15 @@ def test_exponent_literal_decided_before_expanding(char, code, doc):
     assert doc.items() <= json.loads(out).items()
 
 
+@pytest.mark.parametrize("literal", ["1" + "0" * 4300, "1e4300"])
+def test_over_long_literal_exit_3_either_way(capsys, literal):
+    # 10**4300 is past the 4300-digit print limit written out or as an
+    # exponent; neither message echoes the literal's 4301 digits
+    code, doc = run_json(capsys, "dim", "--surface", P2, "--char", f"1,0,{literal}")
+    assert code == 3 and doc["error"] == "PreconditionError"
+    assert len(doc["message"]) < 120
+
+
 def test_boolean_surface_entries_exit_2(capsys, tmp_path):
     surface = tmp_path / "bools.json"
     surface.write_text(json.dumps(

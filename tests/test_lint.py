@@ -225,3 +225,24 @@ def test_one_exp_twist_formula():
         if isinstance(node, ast.Call) and _callee(node) == "_times_exp"
     }
     assert callers == {"twist_char", "untwist_char", "tensor_by_K"}
+
+
+def test_c1_box_walked_only_by_scan_constants():
+    # SurfaceLattice.scan_constants walks the c1 box once and merges it
+    # into classes; no other code iterates c1 vectors, so no scan can
+    # bypass the merge
+    imported = sorted(
+        (name, alias.asname or alias.name)
+        for name, _, node in _nodes()
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+        for alias in node.names
+        if alias.name == "product"
+    )
+    assert imported == [("lattice.py", "product")]
+    uses = sorted(
+        (name, func)
+        for name, func, node in _nodes()
+        if (isinstance(node, ast.Name) and node.id == "product")
+        or (isinstance(node, ast.Attribute) and node.attr == "product")
+    )
+    assert uses == [("lattice.py", "scan_constants")]

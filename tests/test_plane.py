@@ -69,6 +69,23 @@ def test_parse_frac_exponent_at_the_print_limit():
     assert parse_frac("25e-2") == F(1, 4) and parse_frac("+1_0E+0_1") == 100
 
 
+def test_parse_frac_digit_runs_at_the_print_limit():
+    # int() refuses a run of more digits than Python prints, underscores
+    # apart; such a literal is refused like an exponent past the limit,
+    # and no message repeats a long literal
+    n = sys.get_int_max_str_digits()
+    assert parse_frac("7" * n) == int("7" * n)
+    assert parse_frac("1_" * (n - 1) + "1") == int("1" * n)
+    for too_long in ("7" * (n + 1), "0" * (n + 1), "1/" + "3" * (n + 1),
+                     "0." + "5" * (n + 1), "1_" * n + "1"):
+        with pytest.raises(PreconditionError, match="digits in a row") as info:
+            parse_frac(too_long)
+        assert len(str(info.value)) < 120
+    with pytest.raises(SchemaError) as info:
+        parse_frac("x" * (n + 1))
+    assert len(str(info.value)) < 120
+
+
 def test_parse_frac_huge_exponents_decided_without_expanding():
     # 10**exponent here would take minutes; the answer needs none of it
     assert parse_frac("0e10000000000") == 0 and parse_frac("-0.000e-99999999999") == 0

@@ -143,6 +143,15 @@ def test_enumeration_matches_reference_p1xp1(product_surface):
         _assert_same(v, "box", _box_around(P, Q, rng), (1, 2), product_surface)
 
 
+def test_enumeration_matches_reference_p1xp1_scan_bounds(product_surface):
+    # the benchmark's bounds: the 121 c1 vectors fall into 21 classes, and
+    # v2 of denominator 2 doubles the lattice's M = 1, so each class's
+    # M*H.c is scaled (its residue, 0 mod 1, is scaled on ODD_SCALE below)
+    v = V(2, 1, F(-7, 2))
+    _assert_same(v, "segment", ((F(-3), F(9)), (F(2), F(5))), (3, 5), product_surface)
+    _assert_same(v, "box", (-3, 2, 5, 9), (3, 5), product_surface)
+
+
 # Lattices that make the scan's integer scale M larger than 2 (the shipped
 # surfaces have M <= 2 for integral characters): a rank-1 lattice with
 # H^2 = 3/2, where c^2/2 comes in quarters, and the blow-up of P2 at a point
@@ -257,3 +266,23 @@ def test_corner_clip_matches_reference_clips():
             assert _meet(got) == _meet(want), (line, got, want)
             kinds.add(None if want is None else _meet(want)[0])
     assert kinds == {None, "point", "span"}
+
+
+# split-rule edges: (v, start, end) on p2
+SPLIT_EDGES = [
+    # the segment starts on v's vertical s = v1/v0 = -1: d = 0 there for
+    # every (rank, c1) pair, and n = d - n = 0 too for c1 = -rank
+    (V(1, -1, F(-15, 2)), (F(-1), F(2)), (F(-5), F(14))),
+    # constant s = -1: every crossing lies at the one s of the s-range, a
+    # zero of n for c1 = -rank and of d - n for c1 = 7 - rank; the two
+    # pencil forms have one slope in k
+    (V(3, 4, -3), (F(-1), F(11, 2)), (F(-1), F(13, 6))),
+    # v0 = 0: the two pencil forms have one slope in k (B_start = B_Q), so
+    # the crossing's s is affine in k
+    (V(0, 5, F(1, 2)), (F(-1, 2), F(13, 8)), (F(7, 2), F(65, 8))),
+]
+
+
+@pytest.mark.parametrize("v,start,end", SPLIT_EDGES)
+def test_split_rule_edges_match_reference_walk_filter(v, start, end, p2):
+    assert _assert_same_splits(v, SP(*start), SP(*end), (3, 5), p2) > 0

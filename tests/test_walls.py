@@ -1,8 +1,10 @@
 """Wall enumeration, phase-bound intervals, path simulation, certificates."""
 
 import hashlib
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -35,6 +37,7 @@ from walland import (
     vtilde,
     wall_of,
 )
+from walland import walls
 from walland.jsonio import dumps_canonical
 from walland.walls import (
     _meet,
@@ -155,12 +158,39 @@ def test_pencil_ks_exact_beyond_float_precision():
 def test_scan_constants_memo_is_lazy_and_outside_equality(p2):
     L = SurfaceLattice.from_dict(p2.to_dict())
     assert L._scan is None  # nothing is computed at construction
-    M, H2, half_DD, terms = L.scan_constants(5)
-    assert (M, H2, half_DD) == (2, 2, 0) and len(terms) == 11
-    assert terms[6] == (2, 1)  # c = h: M*H.c = 2, M*(c^2/2 - D.c) = 1
+    M, H2, half_DD, classes = L.scan_constants(5)
+    assert (M, H2, half_DD) == (2, 2, 0) and len(classes) == 11
+    assert all(n == 1 for _, _, n in classes)  # on p2 every class is one c
+    assert classes[6] == (2, 1, 1)  # c = h: M*H.c = 2, M*(c^2/2 - D.c) = 1
     assert L.scan_constants(5) is L.scan_constants(5)
     assert L == p2 and hash(L) == hash(p2)
-    assert L.scan_constants(2)[3] == terms[3:8]
+    assert L.scan_constants(2)[3] == classes[3:8]
+
+
+def test_scan_constants_merge_c1_classes(product_surface):
+    # a class is one M*H.c and one M*(c^2/2 - D.c) mod M, counted here by
+    # brute force over the c1 box
+    L = SurfaceLattice.from_dict(product_surface.to_dict())
+    M, _, _, classes = L.scan_constants(5)
+    want = Counter()
+    for coords in itertools.product(range(-5, 6), repeat=2):
+        c = L.divisor(coords)
+        b = M * (L.pair(c, c) / 2 - L.pair(L.D, c))
+        want[(M * L.pair(L.H, c), b % M)] += 1
+    assert len(classes) == 21 and sum(n for _, _, n in classes) == 121
+    assert {(a, b): n for a, b, n in classes} == want
+
+
+def test_class_merge_keeps_refusals(product_surface, monkeypatch):
+    # this scan passes 1,749 witnesses counted once per c1 vector, but
+    # only 189 counted once per class; its 847 (rank, c1) pairs are under
+    # both limits below, so only the witness budget can refuse it
+    v, seg = V(2, 1, F(-7, 2)), SegmentRegion(SP(-3, 9), SP(2, 5))
+    monkeypatch.setattr(walls, "_SCAN_LIMIT", 1000)
+    with pytest.raises(PreconditionError, match="witnesses"):
+        enumerate_candidate_walls(v, seg, 3, 5, product_surface)
+    monkeypatch.setattr(walls, "_SCAN_LIMIT", 1749)
+    assert enumerate_candidate_walls(v, seg, 3, 5, product_surface)
 
 
 # ---------------------------------------------------------------------------
