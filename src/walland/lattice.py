@@ -166,12 +166,14 @@ class SurfaceLattice:
     def load(path) -> "SurfaceLattice":
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                # ints go through parse_frac as strings do, so one past the digit
+                # limit raises PreconditionError here too, not a ValueError
+                data = json.load(fh, parse_int=parse_frac)
         except FileNotFoundError as exc:
             raise SchemaError(f"surface file not found: {path}") from exc
         except OSError as exc:  # a directory, no permission, ...
             raise SchemaError(f"cannot read {path}: {exc.strerror}") from exc
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, over-long ints
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
         return SurfaceLattice.from_dict(data)
 

@@ -29,7 +29,16 @@ class Mat:
         # an int shape: a bool or a float is refused, never carried along
         if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
             raise DimensionMismatch(f"matrix shape {(rows, cols)!r} is not two nonnegative ints")
-        data = tuple(tuple(parse_frac(x) for x in row) for row in data)
+        self._fill(rows, cols, tuple(tuple(parse_frac(x) for x in row) for row in data))
+
+    @staticmethod
+    def _of_fractions(rows: int, cols: int, data) -> "Mat":
+        """A Mat of rows of Fractions made in this module: shape-checked, not coerced."""
+        m = Mat.__new__(Mat)
+        m._fill(rows, cols, tuple(map(tuple, data)))
+        return m
+
+    def _fill(self, rows: int, cols: int, data: tuple) -> None:
         if len(data) != rows or any(len(r) != cols for r in data):
             raise DimensionMismatch("matrix data does not match its shape")
         self.rows = rows
@@ -270,19 +279,20 @@ class HomCochain:
 def hom_differential(f: HomCochain) -> HomCochain:
     """D(f)^i = d_target^(i+k) f^i - (-1)^k f^(i+1) d_source^i.
 
-    Computed as the sum of the columns of D (`_d_columns`, the one place
-    the formula is written) weighted by the entries of f.
+    Computed as the sum of the integer columns of L*D (`_d_columns`, the one
+    place the formula is written) weighted by the entries of f, over L.
     """
     k = f.degree
     layout = _basis_layout(f.source, f.target, k)
     out_layout = _basis_layout(f.source, f.target, k + 1)
     vec = [Fraction(0)] * sum(r * c for _, r, c in out_layout)
-    for x, col in zip(_flatten(f, layout), _d_columns(f.source, f.target, k)):
+    L, cols = _d_columns(f.source, f.target, k)
+    for x, col in zip(_flatten(f, layout), cols):
         if x:
             for j, y in enumerate(col):
                 if y:
                     vec[j] += x * y
-    return _unflatten(f.source, f.target, k + 1, out_layout, vec)
+    return _unflatten(f.source, f.target, k + 1, out_layout, [v / L for v in vec])
 
 
 def compose(a: HomCochain, b: HomCochain) -> HomCochain:
@@ -343,100 +353,107 @@ def _flatten(f: HomCochain, layout) -> List[Fraction]:
     return vec
 
 
-def _unflatten(source, target, degree, layout, vec) -> HomCochain:
+def _unflatten(source, target, degree, layout, vec: List[Fraction]) -> HomCochain:
     comps = {}
     pos = 0
     for i, r, c in layout:
-        rows = []
-        for a in range(r):
-            rows.append(vec[pos : pos + c])
-            pos += c
-        comps[i] = Mat(r, c, rows)
+        rows = [vec[pos + a * c : pos + (a + 1) * c] for a in range(r)]
+        comps[i] = Mat._of_fractions(r, c, rows)
+        pos += r * c
     return HomCochain(source, target, degree, comps)
 
 
-def _d_columns(source, target, degree) -> List[List[Fraction]]:
-    """Images under D of the unit vectors of Hom^degree, flattened.
+def _d_columns(source, target, degree) -> Tuple[int, List[List[int]]]:
+    """L and the images under L*D of the unit vectors of Hom^degree, flattened.
 
+    L is the lcm of the denominators of the differentials D is written from,
+    so L*D is an integer matrix with the kernel and the column space of D.
     Written entrywise from the differentials: the unit cochain E at
     (component i, row a, col b) of degree k maps to column a of
     d_target^(i+k), placed at column b of output component i, minus (-1)^k
     times row b of d_source^(i-1), placed at row a of output component i-1.
     """
     k = degree
-    sign = 1 if k % 2 else -1  # -(-1)^k
     offset, m = {}, 0
     for i, r, c in _basis_layout(source, target, k + 1):
         offset[i], m = m, m + r * c
+    blocks = [
+        (i, r, c, target.diff(i + k), source.diff(i - 1))
+        for i, r, c in _basis_layout(source, target, k)
+    ]
+    used = [d for *_, d_t, d_s in blocks for d in (d_t, d_s) if d is not None]
+    L = lcm(*(x.denominator for d in used for row in d.data for x in row))
     cols = []
-    for i, r, c in _basis_layout(source, target, k):
-        d_t, d_s = target.diff(i + k), source.diff(i - 1)
+    for i, r, c, d_t, d_s in blocks:
+        t = _scaled(d_t, L)
+        s = _scaled(d_s, -L if k % 2 == 0 else L)  # -(-1)^k L d_s
         for a in range(r):
             for b in range(c):
-                col = [Fraction(0)] * m
-                if d_t is not None:  # column a of d_t, down column b of component i
+                col = [0] * m
+                if t is not None:  # column a of d_t, down column b of component i
                     start = offset[i] + b
-                    col[start : start + d_t.rows * c : c] = [row[a] for row in d_t.data]
-                if d_s is not None:  # row b of d_s, along row a of component i-1
+                    col[start : start + d_t.rows * c : c] = [row[a] for row in t]
+                if s is not None:  # row b of d_s, along row a of component i-1
                     start = offset[i - 1] + a * d_s.cols
-                    col[start : start + d_s.cols] = [sign * x for x in d_s.data[b]]
+                    col[start : start + d_s.cols] = s[b]
                 cols.append(col)
-    return cols
+    return L, cols
 
 
-def _rref(rows) -> List[int]:
-    """In-place reduced row echelon form; returns pivot column list.
+def _scaled(d: Optional[Mat], L: int) -> Optional[List[List[int]]]:
+    """The rows of L*d, in ints when L clears d's denominators; None for no d."""
+    if d is not None:
+        return [[x.numerator * (L // x.denominator) for x in row] for row in d.data]
 
-    Each row is scaled to integers by the lcm of its denominators and
-    eliminated Gauss-Jordan in ints, each new row divided by the gcd of its
-    entries; the rows become Fractions again only at the end, each pivot row
-    divided by its pivot.  Scaling a row keeps the row space and a matrix has
-    exactly one RREF, so rows and pivots are those of elimination in Fractions.
+
+def _rref(rows: List[List[int]]) -> List[int]:
+    """In-place integer Gauss-Jordan elimination; returns the pivot columns.
+
+    Each new row is divided by the gcd of its entries.  Row r ends nonzero at
+    pivots[r] and zero at the other pivots, the rows past them zero; row r
+    over its pivot entry is row r of the one RREF, that of Fractions.
     """
-    work = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        work.append([x.numerator * (den // x.denominator) for x in row])
     pivots = []
-    n_rows = len(work)
-    n_cols = len(work[0]) if n_rows else 0
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if n_rows else 0
     for col in range(n_cols):
         lead = len(pivots)
         if lead == n_rows:
             break
-        pivot_row = next((r for r in range(lead, n_rows) if work[r][col]), None)
+        pivot_row = next((r for r in range(lead, n_rows) if rows[r][col]), None)
         if pivot_row is None:
             continue
-        work[lead], work[pivot_row] = work[pivot_row], work[lead]
-        top = work[lead]
-        p = top[col]
+        rows[lead], rows[pivot_row] = rows[pivot_row], rows[lead]
+        top = rows[lead]
         for r in range(n_rows):
-            x = work[r][col]
-            if r != lead and x:
-                row = [p * y - x * t for y, t in zip(work[r], top)]
-                g = gcd(*row)
-                work[r] = [y // g for y in row] if g > 1 else row
+            if r != lead and rows[r][col]:
+                rows[r] = _cancel(rows[r], top, col)
         pivots.append(col)
-    zero = Fraction(0)
-    for r, col in enumerate(pivots):
-        p = work[r][col]
-        rows[r] = [Fraction(y, p) if y else zero for y in work[r]]
-    for r in range(len(pivots), n_rows):
-        rows[r] = [zero] * n_cols
     return pivots
 
 
-def _kernel_basis(rows: List[List[Fraction]], n_cols: int) -> List[List[Fraction]]:
-    """Kernel of the matrix with these rows: one vector per free column of its RREF."""
+def _cancel(row: List[int], top: List[int], col: int) -> List[int]:
+    """top[col] * row - row[col] * top, zero at col, divided by its gcd."""
+    p, x = top[col], row[col]
+    out = [p * y - x * t for y, t in zip(row, top)]
+    g = gcd(*out)
+    return [y // g for y in out] if g > 1 else out
+
+
+def _kernel_basis(rows: List[List[int]], n_cols: int) -> List[List[Fraction]]:
+    """Kernel of the integer matrix with these rows: one vector per free column
+    of its RREF, read from the integer rows as -row[free] / row[pivot]."""
     pivots = _rref(rows)
+    zero, one = Fraction(0), Fraction(1)
     basis = []
     for free in range(n_cols):
         if free in pivots:
             continue
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -rows[r][free]
+        vec = [zero] * n_cols
+        vec[free] = one
+        for row, p in zip(rows, pivots):
+            if row[free]:
+                vec[p] = Fraction(-row[free], row[p])
         basis.append(vec)
     return basis
 
@@ -466,34 +483,40 @@ class CohomologyGroup:
 def cohomology(source: MatrixComplex, target: MatrixComplex, degree: int) -> CohomologyGroup:
     """ker D^degree / im D^(degree-1), exactly, with cocycle witnesses.
 
-    The columns of D are written entrywise from the differentials (see
-    `_d_columns`), and each matrix is row-reduced once, in integers, which
-    gives its one RREF (see `_rref`).  The cocycles are the kernel basis of
-    D^degree, one vector per free column of its RREF; the coboundaries are
-    the nonzero RREF rows of the image of D^(degree-1); the representatives
-    are the first cocycles, in order, that are independent of the image and
-    of the representatives before them, read off as the pivot columns past
-    the image's in the RREF of the columns [coboundaries | cocycles].
+    Both D are the integer L*D of `_d_columns`, each eliminated once (`_rref`).
+    The cocycles are the kernel basis of D^degree, the coboundaries the
+    nonzero RREF rows of the image of D^(degree-1).  The representatives are
+    the first cocycles, in order, independent of the image and of the ones
+    before: each cocycle, in ints, is reduced against the image's echelon
+    rows and the representatives kept so far, and kept if something is left.
     """
     degree = _degree(degree)
     layout = _basis_layout(source, target, degree)
     n = sum(r * c for _, r, c in layout)
-    kernel = _kernel_basis(list(zip(*_d_columns(source, target, degree))), n)
-    image = _d_columns(source, target, degree - 1)
-    image = image[: len(_rref(image))]  # the nonzero RREF rows come first
-    # columns [image | kernel]: the image's are all pivots, reps the rest
-    pivots = _rref(list(zip(*image, *kernel)))
-    reps = [kernel[p - len(image)] for p in pivots[len(image) :]]
-    dim = len(kernel) - len(image)
+    kernel = _kernel_basis(list(zip(*_d_columns(source, target, degree)[1])), n)
+    image = _d_columns(source, target, degree - 1)[1]
+    echelon = list(zip(_rref(image), image))  # the nonzero rows come first
+    zero = Fraction(0)
+    coboundaries = [[Fraction(y, row[p]) if y else zero for y in row] for p, row in echelon]
+    reps = []
+    for vec in kernel:
+        den = lcm(*(x.denominator for x in vec))
+        w = [x.numerator * (den // x.denominator) for x in vec]
+        for p, row in echelon:
+            if w[p]:
+                w = _cancel(w, row, p)
+        lead = next((j for j, y in enumerate(w) if y), None)
+        if lead is not None:
+            echelon.append((lead, w))
+            reps.append(vec)
+    dim = len(kernel) - len(coboundaries)
     if len(reps) != dim:
         raise InvariantError(f"degree {degree}: {len(reps)} representatives, dimension {dim}")
-    reps, cocycles, coboundaries = (
+    witnesses = (
         [_unflatten(source, target, degree, layout, vec) for vec in vecs]
-        for vecs in (reps, kernel, image)
+        for vecs in (reps, kernel, coboundaries)
     )
-    return CohomologyGroup(
-        degree, dim, len(kernel), len(image), reps, cocycles, coboundaries
-    )
+    return CohomologyGroup(degree, dim, len(kernel), len(coboundaries), *witnesses)
 
 
 # ---------------------------------------------------------------------------

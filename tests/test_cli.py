@@ -362,15 +362,26 @@ def test_unreadable_surface_exit_2(capsys, tmp_path):
     binary.write_bytes(b"\x7fELF\xd0\xff\xfe\x00")
     deep = tmp_path / "deep.json"  # nesting beyond the JSON decoder's recursion
     deep.write_text("[" * 100_000)
-    long_int = tmp_path / "long_int.json"  # an int literal past the digit limit
-    long_int.write_text('{"chiO": 1' + "0" * 5000 + "}")
-    for surface in (str(tmp_path), str(binary), str(deep), str(long_int)):
+    for surface in (str(tmp_path), str(binary), str(deep)):
         code, doc = run_json(
             capsys, "charge", "--surface", surface, "--char", "1,0,0",
             "--s=-1", "--q=1",
         )
         assert code == 2
         assert doc["error"] == "SchemaError"
+
+
+def test_over_long_int_in_surface_exit_3(capsys, tmp_path):
+    # an int literal past the digit limit is refused as it is in --char
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"chiO": 1' + "0" * 5000 + "}")
+    code, doc = run_json(
+        capsys, "charge", "--surface", str(long_int), "--char", "1,0,0", "--s=-1", "--q=1"
+    )
+    assert code == 3 and doc["error"] == "PreconditionError"
+    _, want = run_json(capsys, "dim", "--surface", P2, "--char", "1,0,1" + "0" * 5000)
+    assert doc["message"] == want["message"]
+    assert "over 4300 digits" in doc["message"]
 
 
 def test_out_or_svg_in_missing_directory_exit_2(capsys, tmp_path):

@@ -127,6 +127,31 @@ def test_one_hom_differential_formula():
     assert ("traces.py", "hom_differential") in d_columns_callers
 
 
+def test_trusted_rows_enter_mat_once():
+    # Mat._of_fractions skips parse_frac, so only _unflatten, which writes
+    # the Fractions the integer elimination made, may build a Mat with it;
+    # the elimination itself builds no Mat and coerces nothing
+    private = sorted(
+        {
+            (name, func)
+            for name, func, node in _nodes()
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_of_fractions"
+        }
+    )
+    assert private == [("traces.py", "_unflatten")]
+    coerced = sorted(
+        (func, _callee(node))
+        for name, func, node in _nodes()
+        if name == "traces.py"
+        and func in ("cohomology", "_rref", "_kernel_basis")
+        and isinstance(node, ast.Call)
+        and _callee(node) in ("parse_frac", "Mat")
+    )
+    assert coerced == []
+
+
 def test_one_integer_wall_decision():
     # enumerate_candidate_walls decides witnesses in ints at the points of
     # walls._meet; wall_clip only turns those points into Fractions

@@ -10,9 +10,11 @@ witnesses included, in every degree, the same D and the same RREF.
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import reference_cohomology as ref
 from walland.traces import (
+    Mat,
     MatrixComplex,
     _rref,
     cohomology,
@@ -73,6 +75,62 @@ def test_cohomology_matches_reference_rational_differentials():
             _assert_matches_reference(source, target)
 
 
+def _conjugated(rng, C):
+    # d_i' = S_(i+1) d_i S_i^-1, each S diagonal with denominators 2, 3, 7
+    # and 10: one differential mixes denominators, and d' o d' = 0 still
+    dens = (2, 3, 7, 10)
+    S = [[F(rng.choice((1, -1, 3, -5)), rng.choice(dens)) for _ in range(n)] for n in C.dims]
+    diffs = []
+    for i, d in enumerate(C.diffs):
+        rows = [
+            [S[i + 1][a] * x / S[i][b] for b, x in enumerate(row)] for a, row in enumerate(d.data)
+        ]
+        diffs.append(Mat(d.rows, d.cols, rows))
+    return MatrixComplex(C.dims, diffs)
+
+
+def _mixed(C):
+    return any(len({x.denominator for row in d.data for x in row if x}) > 1 for d in C.diffs)
+
+
+# the term of degree 2 is zero-dimensional
+ZERO_TERM = MatrixComplex(
+    (2, 3, 0, 2), [Mat.make([[1, -2], [0, 0], [3, -6]]), Mat.zero(0, 3), Mat.zero(2, 0)]
+)
+
+
+def _mixed_pairs(rng, n):
+    for t in range(n):
+        A = _conjugated(rng, random_complex(rng, max_len=4, max_dim=4))
+        B = _conjugated(rng, ZERO_TERM if t == 0 else random_complex(rng, max_len=4, max_dim=4))
+        yield A, B
+
+
+def test_cohomology_matches_reference_mixed_denominators():
+    rng = random.Random(5009)
+    seen_mixed = False
+    for A, B in _mixed_pairs(rng, 6):
+        seen_mixed |= _mixed(A) or _mixed(B)
+        for source, target in ((A, A), (A, B), (B, A)):
+            _assert_matches_reference(source, target)
+    assert seen_mixed
+
+
+def test_hom_differential_matches_reference_mixed_denominators():
+    rng = random.Random(5010)
+    seen_mixed = False
+    for A, B in _mixed_pairs(rng, 10):
+        seen_mixed |= _mixed(A) or _mixed(B)
+        for source, target in ((A, A), (A, B), (B, A)):
+            for k in range(-len(source), len(target) + 1):
+                f = random_cochain(rng, source, target, k)
+                f = f.scale(F(rng.randint(1, 4), rng.choice((3, 7))))
+                got = hom_differential(f)
+                assert got == ref.hom_differential(f), k
+                assert all(type(x) is F for x in _entries([got])), k
+    assert seen_mixed
+
+
 def test_hom_differential_matches_reference():
     rng = random.Random(5007)
     for _ in range(40):
@@ -111,9 +169,16 @@ def _matrices(rng):
 
 
 def test_rref_matches_fraction_elimination():
+    # _rref eliminates L*rows in ints, L one lcm of the denominators as in
+    # _d_columns; each pivot row over its pivot entry is the Fraction RREF row
     rng = random.Random(5008)
     for rows in _matrices(rng):
-        got, want = [list(r) for r in rows], [list(r) for r in rows]
-        assert _rref(got) == ref._rref(want), rows
-        assert got == [list(r) for r in want], rows
-        assert all(type(x) is F for row in got for x in row), rows
+        L = lcm(*(x.denominator for row in rows for x in row))
+        got = [[x.numerator * (L // x.denominator) for x in row] for row in rows]
+        want = [list(r) for r in rows]
+        pivots = _rref(got)
+        assert pivots == ref._rref(want), rows
+        assert all(type(x) is int for row in got for x in row), rows
+        normalised = [[F(y, row[p]) for y in row] for row, p in zip(got, pivots)]
+        normalised += [[F(y) for y in row] for row in got[len(pivots) :]]
+        assert normalised == want, rows
