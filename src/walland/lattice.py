@@ -54,6 +54,11 @@ class DivisorClass:
         return all(c == 0 for c in self.coords)
 
 
+def _scaled(xs, m: int) -> tuple:
+    """The rationals xs times m, a multiple of all their denominators, as ints."""
+    return tuple(x.numerator * (m // x.denominator) for x in xs)
+
+
 @dataclass(frozen=True)
 class SurfaceLattice:
     """Intersection data (basis, gram, H, D, K, chiO) of a polarized surface."""
@@ -69,6 +74,8 @@ class SurfaceLattice:
     HK: Fraction = field(init=False, repr=False, compare=False)
     KK: Fraction = field(init=False, repr=False, compare=False)
     DD: Fraction = field(init=False, repr=False, compare=False)
+    # (g, the rows of g*gram as ints), g the lcm of the gram's denominators
+    _gram: tuple = field(init=False, repr=False, compare=False)
     # (c1_bound, scan_constants(c1_bound)) of the last scan, filled on first use
     _scan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -78,6 +85,9 @@ class SurfaceLattice:
             raise SchemaError("gram matrix shape does not match basis")
         if any(tuple(row) != col for row, col in zip(self.gram, zip(*self.gram))):
             raise SchemaError("gram matrix must be symmetric")
+        g = math.lcm(*(x.denominator for x in chain(*self.gram)))
+        G = tuple(_scaled(row, g) for row in self.gram)
+        object.__setattr__(self, "_gram", (g, G))  # frozen dataclass
         H, D, K = self.H, self.D, self.K
         # pair raises DimensionMismatch for a class of the wrong length
         for name, a, b in (("HH", H, H), ("HK", H, K), ("KK", K, K), ("DD", D, D)):
@@ -94,15 +104,15 @@ class SurfaceLattice:
     def pair(self, a: DivisorClass, b: DivisorClass) -> Fraction:
         if len(a.coords) != self.rank or len(b.coords) != self.rank:
             raise DimensionMismatch("divisor coordinates do not match basis")
-        total = Fraction(0)
-        for i, ai in enumerate(a.coords):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b.coords):
-                if bj == 0:
-                    continue
-                total += ai * bj * self.gram[i][j]
-        return total
+        g, G = self._gram
+        da = math.lcm(*(x.denominator for x in a.coords))
+        db = math.lcm(*(x.denominator for x in b.coords))
+        B = _scaled(b.coords, db)
+        total = 0
+        for ai, row in zip(_scaled(a.coords, da), G):
+            if ai:
+                total += ai * sum(bj * gij for bj, gij in zip(B, row))
+        return Fraction(total, da * db * g)
 
     @property
     def poisson_mode(self) -> bool:

@@ -62,6 +62,9 @@ def _exponent_literal(x: str, shown: str, limit: int) -> Fraction:
     raise PreconditionError(f"{shown} has a number beyond the {limit}-digit print limit")
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _sq_root_if_perfect(f: Fraction):
     """Rational square root of f, or None."""
     if f < 0:
@@ -88,14 +91,24 @@ class QuadNum:
         if d < 0:
             raise PreconditionError("negative radicand")
         if b == 0:
-            d = Fraction(0)
+            d = _ZERO
         elif d == 0:
-            b = Fraction(0)
+            b = _ZERO
         else:
             r = _sq_root_if_perfect(d)
             if r is not None:
-                a, b, d = a + b * r, Fraction(0), Fraction(0)
+                a, b, d = a + b * r, _ZERO, _ZERO
         self.a, self.b, self.d = a, b, d
+
+    @staticmethod
+    def _of(a: Fraction, b: Fraction, d: Fraction) -> "QuadNum":
+        """Trusted constructor for results of QuadNum arithmetic: a, b and d
+        are Fractions, d >= 0, and d is not a perfect square when b != 0."""
+        x = object.__new__(QuadNum)
+        if b == 0 or d == 0:
+            b = d = _ZERO
+        x.a, x.b, x.d = a, b, d
+        return x
 
     # -- field discipline ------------------------------------------------
 
@@ -123,7 +136,9 @@ class QuadNum:
     def _coerce(x):
         if isinstance(x, QuadNum):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, Fraction):
+            return QuadNum._of(x, _ZERO, _ZERO)
+        if isinstance(x, int):
             return QuadNum(x)
         return NotImplemented
 
@@ -132,12 +147,12 @@ class QuadNum:
         if other is NotImplemented:
             return NotImplemented
         d = self._join(other)
-        return QuadNum(self.a + other.a, self.b + other.b, d)
+        return QuadNum._of(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadNum(-self.a, -self.b, self.d)
+        return QuadNum._of(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -155,7 +170,7 @@ class QuadNum:
         d = self._join(other)
         a = self.a * other.a + self.b * other.b * d
         b = self.a * other.b + self.b * other.a
-        return QuadNum(a, b, d)
+        return QuadNum._of(a, b, d)
 
     __rmul__ = __mul__
 
@@ -168,7 +183,7 @@ class QuadNum:
         n = other.a * other.a - other.b * other.b * d
         if n == 0:
             raise ZeroDivisionError("division by zero QuadNum")
-        inv = QuadNum(other.a / n, -other.b / n, d)
+        inv = QuadNum._of(other.a / n, -other.b / n, d)
         return self * inv
 
     def __rtruediv__(self, other):
@@ -398,18 +413,24 @@ def line_parabola_intersect(line: PlaneLine, parabola: ParabolaShift):
     a, b, c = line.coeffs
     if c == 0:
         x0 = Fraction(-a, b)
-        return [(QuadNum(x0), QuadNum(parabola.height(x0)))]
+        y0 = parabola.height(x0)
+        return [(QuadNum._of(x0, _ZERO, _ZERO), QuadNum._of(y0, _ZERO, _ZERO))]
     m = line.slope()
     k = line.y_intercept()
-    # x^2/2 + C = m x + k  =>  x^2 - 2 m x + 2(C - k) = 0
+    # x^2/2 + C = m x + k  =>  x^2 - 2 m x + 2(C - k) = 0, roots m -+ sqrt(disc),
+    # and y = m x + k = (m^2 + k) -+ m sqrt(disc)
     disc = m * m - 2 * (parabola.C - k)
     if disc < 0:
         return []
-    if disc == 0:
-        x = QuadNum(m)
-        return [(x, QuadNum(m * x.a + k))]
-    xs = [QuadNum(m, -1, disc), QuadNum(m, 1, disc)]
-    return [(x, x * m + k) for x in xs]
+    y0 = m * m + k
+    r = _sq_root_if_perfect(disc)
+    if r is None:  # delta prints the chord's disc, not its square-free part
+        return [
+            (QuadNum._of(m, -_ONE, disc), QuadNum._of(y0, -m, disc)),
+            (QuadNum._of(m, _ONE, disc), QuadNum._of(y0, m, disc)),
+        ]
+    roots = [(m - r, y0 - m * r), (m + r, y0 + m * r)] if r else [(m, y0)]
+    return [(QuadNum._of(x, _ZERO, _ZERO), QuadNum._of(y, _ZERO, _ZERO)) for x, y in roots]
 
 
 def parabola_translate(p: PlanePoint, delta) -> PlanePoint:

@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walland import (
     CharVec,
     DimensionMismatch,
+    DivisorClass,
     PreconditionError,
     SchemaError,
     SurfaceLattice,
@@ -40,6 +42,53 @@ def test_intersect_examples(p2, product_surface):
     assert p2.pair(p2.divisor([0]), h) == 0
     hf = product_surface.divisor([1, 1])
     assert product_surface.pair(hf, hf) == 2
+
+
+RATIONAL_GRAM = SurfaceLattice.from_dict(
+    # H.D = 1/2*2 + 1/3*(-3) = 0, H^2 = 1/2
+    {"basis": ["a", "b"], "gram": [["1/2", "1/3"], ["1/3", "-2"]],
+     "H": ["1", "0"], "D": ["2", "-3"], "K": ["-1", "1/5"], "chiO": "1"}
+)
+
+
+def _pair_by_fractions(L, a, b):
+    # the pairing as a double sum of Fraction products
+    return sum(
+        (ai * bj * L.gram[i][j] for i, ai in enumerate(a.coords) for j, bj in enumerate(b.coords)),
+        Fraction(0),
+    )
+
+
+coords = st.lists(
+    st.sampled_from([2, 3, 5, 1, 30]).flatmap(
+        lambda den: st.builds(Fraction, st.integers(-40, 40), st.just(den))
+    ),
+    min_size=2, max_size=2,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coords, coords)
+def test_pair_in_ints_matches_fraction_sum(a, b):
+    # gram entries with denominators 2 and 3, coordinates with 2, 3 and 5
+    L = RATIONAL_GRAM
+    a, b = DivisorClass.make(a), DivisorClass.make(b)
+    assert L.pair(a, b) == _pair_by_fractions(L, a, b) == L.pair(b, a)
+
+
+def test_pair_on_a_rational_gram():
+    L = RATIONAL_GRAM
+    a = DivisorClass.make([F(1, 2), F(2, 3)])
+    b = DivisorClass.make([F(3, 5), F(-1, 3)])
+    # 1/2*3/5*1/2 + 1/2*(-1/3)*1/3 + 2/3*3/5*1/3 + 2/3*(-1/3)*(-2)
+    assert L.pair(a, b) == F(3, 20) - F(1, 18) + F(2, 15) + F(4, 9)
+    assert L.pair(a, b) == _pair_by_fractions(L, a, b)
+    assert (L.HH, L.DD, L.KK) == (F(1, 2), F(-20), F(1, 2) - F(2, 15) - F(2, 25))
+    assert L.pair(L.H, L.D) == 0
+    with pytest.raises(DimensionMismatch):
+        L.pair(DivisorClass.make([1]), b)
+    with pytest.raises(DimensionMismatch):
+        L.pair(a, DivisorClass.make([1, 2, 3]))
 
 
 def test_surface_json_round_trip(p2, quartic, product_surface):

@@ -271,3 +271,65 @@ def test_c1_box_walked_only_by_scan_constants():
         or (isinstance(node, ast.Attribute) and node.attr == "product")
     )
     assert uses == [("lattice.py", "scan_constants")]
+
+
+def test_trusted_quadnums_made_by_quadnum_arithmetic_and_chords():
+    # QuadNum._of skips parse_frac and the perfect-square test, so only the
+    # arithmetic whose results it builds and the chord roots may call it
+    callers = sorted(
+        {
+            (name, func)
+            for name, func, node in _nodes()
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_of"
+        }
+    )
+    assert callers == [
+        ("plane.py", "__add__"),
+        ("plane.py", "__mul__"),
+        ("plane.py", "__neg__"),
+        ("plane.py", "__truediv__"),
+        ("plane.py", "_coerce"),
+        ("plane.py", "line_parabola_intersect"),
+    ]
+
+
+def test_one_canonical_json_writer():
+    # dumps_canonical writes the document itself; json.dumps would take the
+    # pure-Python encoder for indent=2
+    calls = sorted(
+        (node.lineno, _callee(node))
+        for name, _, node in _nodes()
+        if name == "jsonio.py"
+        and isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Attribute) and node.func.attr == "dumps")
+            or (isinstance(node.func, ast.Name) and node.func.id == "dumps")
+        )
+    )
+    assert calls == []
+
+
+def test_pair_sums_in_ints():
+    # SurfaceLattice.pair sums scaled ints and makes one Fraction at the end
+    tree = ast.parse((SRC / "lattice.py").read_text(encoding="utf-8"))
+    (pair,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "pair"
+    ]
+    loops = (ast.For, ast.While, ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp)
+    in_loops = [
+        sub.lineno
+        for loop in ast.walk(pair)
+        if isinstance(loop, loops)
+        for sub in ast.walk(loop)
+        if isinstance(sub, ast.Call) and _callee(sub) == "Fraction"
+    ]
+    made = [
+        sub.lineno
+        for sub in ast.walk(pair)
+        if isinstance(sub, ast.Call) and _callee(sub) == "Fraction"
+    ]
+    assert in_loops == [] and len(made) == 1

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from walland import (
     BoxRegion,
@@ -139,6 +140,135 @@ def test_quadnum_mixed_radicals_rejected():
         QuadNum(0, 1, 2) + QuadNum(0, 1, 3)
     with pytest.raises(MixedRadicalError):
         QuadNum(0, 1, 2) * QuadNum(1, 1, 5)
+
+
+def _triple(x: QuadNum):
+    return (x.a, x.b, x.d)
+
+
+def _join(x: QuadNum, y: QuadNum):
+    return x.d or y.d
+
+
+small_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+# non-squares, squares (the public constructor folds them) and 0
+radicands = st.sampled_from([F(0), F(2), F(3), F(8), F(12), F(1, 2), F(8, 9), F(4), F(9, 4)])
+
+
+@st.composite
+def quadnums(draw, d=None):
+    b = draw(st.integers(-3, 3) | small_fracs)
+    return QuadNum(draw(small_fracs), b, draw(radicands) if d is None else d)
+
+
+@st.composite
+def same_field_pairs(draw):
+    # both operands in one field, or one of them rational
+    d = draw(radicands)
+    x = draw(quadnums(d))
+    return x, draw(quadnums(d) | quadnums(F(0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(same_field_pairs())
+@example((QuadNum(1, 2, 3), QuadNum(5, -2, 3)))  # b cancels in the sum
+@example((QuadNum(1, 2, 3), QuadNum(0, 2, 3)))  # b cancels in the difference
+@example((QuadNum(0, 1, 2), QuadNum(0, 1, 2)))  # sqrt2 * sqrt2 is rational
+@example((QuadNum(F(1, 2)), QuadNum(-3)))  # rational operands
+def test_trusted_results_match_public_constructor(pair):
+    # QuadNum._of builds the results of +, -, * and /: each must be the
+    # triple the public constructor makes from the textbook formula
+    x, y = pair
+    d = _join(x, y)
+    assert _triple(x + y) == _triple(QuadNum(x.a + y.a, x.b + y.b, d))
+    assert _triple(x - y) == _triple(QuadNum(x.a - y.a, x.b - y.b, d))
+    assert _triple(-x) == _triple(QuadNum(-x.a, -x.b, x.d))
+    prod = QuadNum(x.a * y.a + x.b * y.b * d, x.a * y.b + x.b * y.a, d)
+    assert _triple(x * y) == _triple(prod)
+    n = y.a * y.a - y.b * y.b * d
+    if n == 0:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        quot = QuadNum((x.a * y.a - x.b * y.b * d) / n, (x.b * y.a - x.a * y.b) / n, d)
+        assert _triple(x / y) == _triple(quot)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadnums(), small_fracs)
+def test_fraction_coercion_matches_public_constructor(x, f):
+    assert _triple(QuadNum._coerce(f)) == _triple(QuadNum(f))
+    assert _triple(x + f) == _triple(f + x) == _triple(x + QuadNum(f))
+    assert _triple(x * f) == _triple(f * x) == _triple(x * QuadNum(f))
+    assert _triple(x - f) == _triple(x - QuadNum(f))
+
+
+def test_trusted_results_refuse_two_radicands():
+    x, y = QuadNum(1, 1, 2), QuadNum(1, 1, 3)
+    for op in (
+        lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y, lambda: y / x,
+    ):
+        with pytest.raises(MixedRadicalError):
+            op()
+
+
+def _old_line_parabola_intersect(line, parabola):
+    # the chord roots as QuadNum arithmetic on the public constructor
+    a, b, c = line.coeffs
+    if c == 0:
+        x0 = F(-a, b)
+        return [(QuadNum(x0), QuadNum(parabola.height(x0)))]
+    m, k = line.slope(), line.y_intercept()
+    disc = m * m - 2 * (parabola.C - k)
+    if disc < 0:
+        return []
+    if disc == 0:
+        return [(QuadNum(m), QuadNum(m * m + k))]
+    xs = [QuadNum(m, -1, disc), QuadNum(m, 1, disc)]
+    return [(x, x * m + k) for x in xs]
+
+
+def _quad_points(pts):
+    return [(_triple(x), _triple(y)) for x, y in pts]
+
+
+@pytest.mark.parametrize(
+    "coeffs, disc",
+    [
+        ((-4, -1, 1), 9),  # y = x + 4: perfect square
+        ((-1, -1, 1), 3),  # y = x + 1
+        ((-4, 0, 1), 8),  # y = 4: not square-free, and y has no sqrt part
+        ((2, 2, -1), 8),  # y = 2x + 2
+        ((1, 4, -8), F(1, 2)),  # y = x/2 + 1/8: a rational radicand
+    ],
+)
+def test_chord_roots_pinned_to_the_old_formula(coeffs, disc):
+    line = PlaneLine.make(*coeffs)
+    m, k = line.slope(), line.y_intercept()
+    assert m * m + 2 * k == disc
+    par = ParabolaShift.make(0)
+    pts = line_parabola_intersect(line, par)
+    assert _quad_points(pts) == _quad_points(_old_line_parabola_intersect(line, par))
+    # x = m -+ sqrt(disc) prints the chord's discriminant as it is
+    for x, _ in pts:
+        assert jsonio.quad_to_json(x)["delta"] == ("0" if disc == 9 else str(disc))
+
+
+def test_chord_disc_8_prints_delta_8():
+    (ax, ay), (bx, by) = line_parabola_intersect(PlaneLine.make(-4, 0, 1), ParabolaShift.make(0))
+    assert jsonio.quad_to_json(ax) == {"a": "0", "b": "-1", "delta": "8"}
+    assert jsonio.quad_to_json(by) == {"a": "4", "b": "0", "delta": "0"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(*[st.integers(-9, 9)] * 3).filter(lambda t: t[1] or t[2]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=8),
+)
+def test_chord_roots_match_the_old_formula(coeffs, C):
+    line, par = PlaneLine.make(*coeffs), ParabolaShift.make(C)
+    new, old = line_parabola_intersect(line, par), _old_line_parabola_intersect(line, par)
+    assert _quad_points(new) == _quad_points(old)
 
 
 def test_quadnum_comparisons_against_mpmath():
