@@ -20,7 +20,7 @@ def frac_str(f) -> str:
 
 def quad_to_json(x) -> dict:
     if not isinstance(x, QuadNum):
-        x = QuadNum(x)
+        return {"a": frac_str(x), "b": "0", "delta": "0"}
     return {"a": frac_str(x.a), "b": frac_str(x.b), "delta": frac_str(x.d)}
 
 

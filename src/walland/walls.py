@@ -19,6 +19,7 @@ along parameter segments stay below a half turn, which pins each lift.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -193,30 +194,39 @@ def _ratio(v, w, vertical: bool, point):
     return w[1] * g - gs * w[0], v[1] * g - gs * v[0]
 
 
-def _same_strict_sign_somewhere(ends) -> bool:
-    """Whether some t in [0, 1] gives every form one and the same strict sign.
+def _split_w1_ranges(m, S0, S1, d0, d1, W0):
+    """Per sign, the W1 whose n, d and d - n share it somewhere, as (lo, hi).
 
-    ends holds per form its values (x, y) at t = 0 and t = 1; the form is
-    (1 - t)*x + t*y.  For a sign, a form is of that sign on all of [0, 1],
-    on [0, x / (x - y)), on (x / (x - y), 1] or nowhere, so the forms meet
-    exactly when every zero of a form of the sign near 1 lies strictly
-    below every zero of a form of the sign near 0.
+    Off a vertical wall n(t) = m*W1 - S(t)*W0 and d(t) are affine in t in
+    [0, 1], S and d running from S0, d0 to S1, d1.  The three have the
+    strict sign sgn at t exactly when sgn*d(t) > 0 and m*W1 lies strictly
+    between S(t)*W0 and S(t)*W0 + d(t).  The t with sgn*d(t) > 0 form an
+    interval, over which these open intervals of m*W1 move continuously, so
+    together they fill one open interval.  Its ends are the least and the
+    greatest of the two bounds at the ends of the t-interval's closure:
+    t = 0, t = 1 or the zero t_z = d0 / (d0 - d1) of d, where both bounds
+    are (S1*d0 - S0*d1)*W0 / (d0 - d1) and the interval shrinks to a point.
+    Returns the inclusive integer ranges of W1, at most one per sign; a
+    range may be empty (lo > hi).
     """
+    out = []
     for sgn in (1, -1):
-        near0, near1 = [], []
-        for x, y in ends:
-            x, y = sgn * x, sgn * y
-            if x > 0:
-                if y <= 0:
-                    near0.append((x, x - y))  # zero at x / (x - y)
-            elif y > 0:
-                near1.append((-x, y - x))  # zero at -x / (y - x)
-            else:
-                break
+        pos0, pos1 = sgn * d0 > 0, sgn * d1 > 0
+        if pos0 and pos1:
+            g, ends = 1, ((S0, d0), (S1, d1))
+        elif pos0 or pos1:
+            # the ends t = 0 or 1 and t_z, all times g = d0 - d1 != 0
+            g = d0 - d1
+            S, d = (S0, d0) if pos0 else (S1, d1)
+            ends = ((S * g, d * g), (S1 * d0 - S0 * d1, 0))
         else:
-            if all(a * d < c * b for c, d in near0 for a, b in near1):
-                return True
-    return False
+            continue
+        bounds = [S * W0 + e for S, d in ends for e in (0, d)]
+        if g < 0:
+            g, bounds = -g, [-b for b in bounds]
+        # lo < m*W1*g < hi
+        out.append((min(bounds) // (m * g) + 1, -(-max(bounds) // (m * g)) - 1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +324,16 @@ def enumerate_candidate_walls(
     destabilization walk splits along: walls crossing the segment strictly
     inside it, f0 * f1 < 0 at start and end, with 0 < n*d < d^2 at the
     crossing R, i.e. n, d and d - n of one strict sign there.  Off a
-    vertical wall (V0*W1 != V1*W0 for the pair) n and d are linear in s
-    alone, so a (rank, c1) pair is skipped outright when no s in the
-    segment's closed s-range gives the three one strict sign.  The rule is
-    exact: a transversal wall meets the segment in R alone, the public
-    rule's meet, and 0 < n*d < d^2 implies n != 0 and n^2 < d^2, so the
-    split rule keeps exactly the public rule's witnesses that the walk
-    splits along.  Each returned wall carries its crossing.
+    vertical wall (V0*W1 != V1*W0 for the pair) n and d are affine along
+    the segment, so per rank the W1 for which some point of it gives the
+    three one strict sign form at most two integer ranges
+    (_split_w1_ranges).  The split rule scans only the c1 classes inside
+    them, and the vertical classes, and skips the rest outright.  A
+    character with v1^2 - 2*v0*v2 = 0 has no split at all (see below).
+    The rule is exact: a transversal wall meets the segment in R alone,
+    the public rule's meet, and 0 < n*d < d^2 implies n != 0 and
+    n^2 < d^2, so the split rule keeps exactly the public rule's witnesses
+    that the walk splits along.  Each returned wall carries its crossing.
 
     The scan runs in ints: M, the lcm of the denominators of v and of the
     lattice's scan_constants, makes M*w integral for every witness w, so
@@ -345,6 +358,16 @@ def enumerate_candidate_walls(
     H2, half_DD = H2 * f, half_DD * f
     classes = [(w1 * f, c_base * f, n) for w1, c_base, n in classes]
     V = V0, V1, V2 = tuple(int(x * M) for x in v.as_tuple())
+    if split and V1 * V1 == 2 * V0 * V2:
+        # No split of a v with Q(v) = v1^2 - 2*v0*v2 = 0.  Q is negative on
+        # ker Z_R = span(1, s, q) at any R above the parabola, as
+        # Q(1, s, q) = s^2 - 2*q < 0.  A split w + u = v kept at R has
+        # Z_R(w) = lam*Z_R(u) with lam > 0, so w - lam*u lies in ker Z_R, and
+        # Q(w), Q(u) >= 0 by the Bogomolov bounds on k.  Unless w and u are
+        # proportional, when no wall crosses strictly, Q(w - lam*u) < 0 gives
+        # 2*lam*<w, u> > Q(w) + lam^2*Q(u) >= 0, so
+        # Q(v) = Q(w) + Q(u) + 2*<w, u> > 0.
+        return []
     vM = VTilde(*V)
     m = ring[0][0]
     qs = [q for _, _, q in ring]
@@ -352,10 +375,13 @@ def enumerate_candidate_walls(
     envelope = max(abs(q * V0 - m * V2) for q in qs)
     # det(v, w, corner) = w . (corner x v)
     normals = [(s * V2 - q * V1, q * V0 - m * V2, m * V1 - s * V0) for m, s, q in ring]
+    row = classes
     if split:
         (_, S0, Q0), (_, S1, Q1) = ring
         # m*M*Im Z(v) at start and end: the split rule's d off a vertical wall
         d0, d1 = normals[0][2], normals[1][2]
+        classes.sort(key=lambda c: c[0])
+        keys = [W1 for W1, _, _ in classes]
     found, crossing = {}, {}
     budget = _SCAN_LIMIT
     for r in range(-bounds.rank_bound, bounds.rank_bound + 1):
@@ -363,12 +389,24 @@ def enumerate_candidate_walls(
         env_lo = min(q * W0 for q in qs) - envelope
         env_hi = max(q * W0 for q in qs) + envelope
         r_base = half_DD * r
-        for W1, c_base, n_c1 in classes:
+        if split:
+            spans = [
+                (bisect_left(keys, lo), bisect_right(keys, hi))
+                for lo, hi in _split_w1_ranges(m, S0, S1, d0, d1, W0)
+            ]
+            # the vertical classes, V0*W1 = V1*W0, are decided in q
+            if V0:
+                W1, rest = divmod(V1 * W0, V0)
+                if not rest:
+                    spans.append((bisect_left(keys, W1), bisect_right(keys, W1)))
+            elif V1 * W0 == 0:
+                spans.append((0, len(keys)))
+            row, done = [], 0
+            for i, j in sorted(spans):
+                row += classes[max(i, done):j]
+                done = max(done, j)
+        for W1, c_base, n_c1 in row:
             vertical = V0 * W1 == V1 * W0
-            if split and not vertical:
-                n0, n1 = m * W1 - S0 * W0, m * W1 - S1 * W0
-                if not _same_strict_sign_somewhere(((n0, n1), (d0, d1), (d0 - n0, d1 - n1))):
-                    continue
             # M*w2 = B + M*k over integers k: integrality of e' plus twist shift
             B = c_base + r_base
             k_lo = -((m * B - env_lo) // (m * M))
@@ -383,6 +421,8 @@ def enumerate_candidate_walls(
                 k_lo = max(k_lo, -((U1 * U1 - 2 * U0 * (V2 - B)) // (2 * U0 * M)))
             elif U0 < 0:
                 k_hi = min(k_hi, (2 * U0 * (V2 - B) - U1 * U1) // (2 * U0 * M))
+            if k_lo > k_hi:
+                continue
             forms = [(W0 * n0 + W1 * n1 + B * n2, M * n2) for n0, n1, n2 in normals]
             ks = _pencil_ks(k_lo, k_hi, forms)
             budget -= n_c1 * sum(max(0, span.stop - span.start) for span in ks)

@@ -2,13 +2,14 @@
 
 import json
 import math
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from walland import cli
-from walland.jsonio import dumps_canonical
+from walland import QuadNum, SchemaError, cli
+from walland.jsonio import dumps_canonical, quad_to_json
 
 SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
 P2 = str(SURFACES / "p2.json")
@@ -105,3 +106,18 @@ def test_over_limit_int_exits_3_through_main(capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert code == 3
     assert doc["error"] == "PreconditionError" and "print limit" in doc["message"]
+
+
+@pytest.mark.parametrize("x", [0, -7, F(3, 4), F(-10**30, 7), "1/2"])
+def test_quad_to_json_writes_rationals_as_quadnums(x):
+    # a rational is written as the QuadNum a + 0*sqrt(0) without building one
+    assert quad_to_json(x) == quad_to_json(QuadNum(x)) == {"a": str(x), "b": "0", "delta": "0"}
+
+
+@pytest.mark.parametrize("x", [0.5, True, None])
+def test_quad_to_json_refuses_what_quadnum_refuses(x):
+    with pytest.raises(SchemaError) as want:
+        QuadNum(x)
+    with pytest.raises(SchemaError) as got:
+        quad_to_json(x)
+    assert str(got.value) == str(want.value)

@@ -333,3 +333,45 @@ def test_pair_sums_in_ints():
         if isinstance(sub, ast.Call) and _callee(sub) == "Fraction"
     ]
     assert in_loops == [] and len(made) == 1
+
+
+def _split_branches(func):
+    # the bodies of `if split:` and `if split and ...:`
+    for node in ast.walk(func):
+        if isinstance(node, ast.If):
+            test = node.test
+            if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+                test = test.values[0]
+            if isinstance(test, ast.Name) and test.id == "split":
+                yield from node.body
+
+
+def test_split_scan_makes_one_fraction():
+    # the split rule decides in ints, its W1 ranges included: the one
+    # Fraction it makes is the crossing of a kept wall
+    tree = ast.parse((SRC / "walls.py").read_text(encoding="utf-8"))
+    funcs = {
+        node.name: node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("enumerate_candidate_walls", "_split_w1_ranges")
+    }
+    scopes = list(_split_branches(funcs["enumerate_candidate_walls"]))
+    scopes.append(funcs["_split_w1_ranges"])
+    made = {
+        id(sub): sub
+        for scope in scopes
+        for sub in ast.walk(scope)
+        if isinstance(sub, ast.Call) and _callee(sub) in ("Fraction", "parse_frac")
+    }
+    (call,) = made.values()
+    crossings = [
+        node.value
+        for scope in scopes
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Subscript)
+        and isinstance(node.targets[0].value, ast.Name)
+        and node.targets[0].value.id == "crossing"
+    ]
+    assert crossings == [call]

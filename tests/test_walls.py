@@ -43,7 +43,7 @@ from walland.walls import (
     _meet,
     _pencil_ks,
     _ratio,
-    _same_strict_sign_somewhere,
+    _split_w1_ranges,
 )
 
 import reference_walls as ref
@@ -214,20 +214,61 @@ def _strict_sign_oracle(ends):
     return False
 
 
-def test_same_strict_sign_somewhere_matches_oracle():
-    grid = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
-    for a in grid:
-        assert _same_strict_sign_somewhere([a]) == _strict_sign_oracle([a]), a
-        for b in grid:
-            got = _same_strict_sign_somewhere([a, b])
-            assert got == _strict_sign_oracle([a, b]), (a, b)
+def _split_forms(m, S0, S1, d0, d1, W0, W1):
+    # n, d and d - n at the segment's start and end, off a vertical wall
+    n0, n1 = m * W1 - S0 * W0, m * W1 - S1 * W0
+    return [(n0, n1), (d0, d1), (d0 - n0, d1 - n1)]
+
+
+def _assert_w1_ranges_match_oracle(m, S0, S1, d0, d1, W0):
+    """The kinds of case that (m, S0, S1, d0, d1, W0) covers."""
+    ranges = _split_w1_ranges(m, S0, S1, d0, d1, W0)
+    ends = [x for r in ranges for x in r] + [0]
+    for W1 in range(min(ends) - 4, max(ends) + 5):
+        got = any(lo <= W1 <= hi for lo, hi in ranges)
+        want = _strict_sign_oracle(_split_forms(m, S0, S1, d0, d1, W0, W1))
+        assert got == want, (m, S0, S1, d0, d1, W0, W1, ranges)
+    kinds = set()
+    if d0 * d1 < 0:
+        kinds.add("d changes sign")
+    if (d0 == 0) != (d1 == 0):
+        kinds.add("d = 0 at one end")
+    if S0 == S1:
+        kinds.add("constant s")
+    if d0 == d1:  # V0 = 0: d = m*V1 all along
+        kinds.add("V0 = 0")
+    if W0 == 0:
+        kinds.add("W0 = 0")
+    kept = [(lo, hi) for lo, hi in ranges if lo <= hi]
+    if len(kept) == 2 and max(lo for lo, _ in kept) <= min(hi for _, hi in kept):
+        kinds.add("overlapping ranges")
+    return kinds
+
+
+def test_split_w1_ranges_match_oracle():
+    # the W1 inside the ranges are exactly those for which some t in [0, 1]
+    # gives n, d and d - n one strict sign
+    kinds = set()
+    # (m, S0, S1, d0, d1, W0): the first SPLIT_EDGES case starts on v's
+    # vertical, d = 0 at t = 0; d = -3 + 5t changes sign at t = 3/5, and
+    # the two sign ranges of W1, [10, 10] and [10, 11], overlap
+    for case in ((1, -1, -5, 0, 8, 2), (1, -4, -3, -3, 2, -3), (3, 2, 2, -5, 7, -4),
+                 (1, -1, 3, 5, 5, 0), (2, -3, 1, -6, -6, 4)):
+        kinds |= _assert_w1_ranges_match_oracle(*case)
     rng = random.Random(7101)
-    for _ in range(3000):
-        ends = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(3)]
-        assert _same_strict_sign_somewhere(ends) == _strict_sign_oracle(ends), ends
-    # zeros that meet at one t leave no common point of strict sign
-    assert not _same_strict_sign_somewhere([(1, -1), (-1, 1)])
-    assert _same_strict_sign_somewhere([(2, -1), (-1, 2)])
+    for _ in range(800):
+        m = rng.randint(1, 4)
+        S0, S1 = rng.randint(-9, 9), rng.randint(-9, 9)
+        d0, d1 = rng.randint(-9, 9), rng.randint(-9, 9)
+        kinds |= _assert_w1_ranges_match_oracle(m, S0, S1, d0, d1, rng.randint(-6, 6))
+    assert kinds == {
+        "d changes sign", "d = 0 at one end", "constant s", "V0 = 0", "W0 = 0",
+        "overlapping ranges",
+    }
+    # zeros of the three forms that meet at one t leave no W1: d = 1 - 2t and
+    # n = 2 - 4t for m = 1, W0 = 4, W1 = 2 share the zero t = 1/2
+    assert _strict_sign_oracle(_split_forms(1, 0, 1, 1, -1, 4, 2)) is False
+    assert all(not lo <= 2 <= hi for lo, hi in _split_w1_ranges(1, 0, 1, 1, -1, 4))
 
 
 def test_ratio_is_scaled_charge_ratio_at_meet_points():
@@ -320,6 +361,53 @@ def test_split_rule_vertical_pair_decided_in_q(p2):
     (event,) = simulate_destabilization_paths(P, Q, v, (3, 5), p2).events
     assert (event.t, event.wall.coeffs, len(event.splits)) == (F(1, 2), (0, 1, 0), 1)
     assert {event.splits[0].w, event.splits[0].u} == {V(0, 0, -1), V(1, 0, 0)}
+
+
+def _rand_q_zero_char(rng, L):
+    # v1^2 = 2*v0*v2: rank zero with c1.H = 0, or a point of the parabola
+    H2 = L.pair(L.H, L.H)
+    c1 = L.pair(L.H, L.divisor([rng.randint(-3, 3) for _ in range(L.rank)]))
+    r = rng.choice((0, 0, 1, -1, 2, -2, 3))
+    if r == 0:
+        return V(0, 0, rng.choice((-1, 1)) * F(rng.randint(1, 12), rng.randint(1, 2)))
+    return V(H2 * r, c1, c1 * c1 / (2 * H2 * r))
+
+
+@pytest.mark.parametrize("name", ["p2", "p1xp1_twisted"])
+def test_split_rule_no_splits_at_discriminant_zero(name, p2, product_surface):
+    # Q = v1^2 - 2*v0*v2 is negative on ker Z above the parabola, so a
+    # split v = w + u with Q(w), Q(u) >= 0 and Z(w), Z(u) on one ray forces
+    # Q(v) > 0: the scan returns [] for Q(v) = 0 without scanning
+    L = {"p2": p2, "p1xp1_twisted": product_surface}[name]
+    bounds = (3, 5) if L.rank == 1 else (1, 2)
+    rng = random.Random(7103)
+    walls_seen = kinds = 0
+    for _ in range(8):
+        v = _rand_q_zero_char(rng, L)
+        assert discriminant(v) == 0
+        kinds |= 1 << (v.v0 == 0)
+        P, Q = rand_stab(rng), rand_stab(rng)
+        for t0 in (F(0), F(rng.randint(1, 6), 7)):
+            start = segment_point(P, Q, t0)
+            public = ref.enumerate_candidate_walls(v, ref.SegmentRegion(start, Q), *bounds, L)
+            walls_seen += len(public)
+            assert _split_scan(v, start, Q, L, bounds) == ref.walk_filter(v, start, Q, public) == []
+    assert kinds == 3 and walls_seen > 0  # rank zero and v on the parabola
+    # the bounds are checked first
+    with pytest.raises(PreconditionError, match="bounds allow over"):
+        _split_scan(V(0, 0, 1), SP(-1, 3), SP(1, 3), L, (10**9, 0))
+
+
+def test_split_witness_charge_pinned(product_surface, monkeypatch):
+    # this split scan charges 1,539 witnesses, counted once per c1 vector,
+    # the charge the per-pair s-test made; its 847 (rank, c1) pairs are
+    # under both limits below, so only the witness budget can refuse it
+    v, seg = V(2, 1, F(-7, 2)), SegmentRegion(SP(-3, 9), SP(2, 5))
+    monkeypatch.setattr(walls, "_SCAN_LIMIT", 1538)
+    with pytest.raises(PreconditionError, match="witnesses"):
+        enumerate_candidate_walls(v, seg, 3, 5, product_surface, split=True)
+    monkeypatch.setattr(walls, "_SCAN_LIMIT", 1539)
+    assert enumerate_candidate_walls(v, seg, 3, 5, product_surface, split=True)
 
 
 # constant s, so the per-pair s-range is one point, and a rank-zero v; in
