@@ -9,6 +9,7 @@ vectors that drive all of the plane geometry downstream.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from collections import Counter
@@ -113,6 +114,17 @@ class SurfaceLattice:
             if ai:
                 total += ai * sum(bj * gij for bj, gij in zip(B, row))
         return Fraction(total, da * db * g)
+
+    def mirrored(self) -> "SurfaceLattice":
+        """This lattice with D replaced by -D, as the derived dual needs it.
+
+        D -> -D keeps H.D = 0 and every field `__post_init__` sets, so those
+        are copied, not computed again; the scan constants read D and are not.
+        """
+        m = copy.copy(self)
+        object.__setattr__(m, "D", -self.D)  # frozen dataclass
+        object.__setattr__(m, "_scan", None)
+        return m
 
     @property
     def poisson_mode(self) -> bool:

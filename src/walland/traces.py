@@ -11,7 +11,6 @@ row reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
@@ -382,7 +381,9 @@ def _d_columns(source, target, degree) -> Tuple[int, List[List[int]]]:
         for i, r, c in _basis_layout(source, target, k)
     ]
     used = [d for *_, d_t, d_s in blocks for d in (d_t, d_s) if d is not None]
-    L = lcm(*(x.denominator for d in used for row in d.data for x in row))
+    # lcm of a list, not of a generator: CPython resizes a tuple built from a
+    # generator, and the resized tuples pile up on its tuple free lists
+    L = lcm(*[x.denominator for d in used for row in d.data for x in row])
     cols = []
     for i, r, c, d_t, d_s in blocks:
         t = _scaled(d_t, L)
@@ -406,12 +407,12 @@ def _scaled(d: Optional[Mat], L: int) -> Optional[List[List[int]]]:
         return [[x.numerator * (L // x.denominator) for x in row] for row in d.data]
 
 
-def _rref(rows: List[List[int]]) -> List[int]:
-    """In-place integer Gauss-Jordan elimination; returns the pivot columns.
+def _echelon(rows: List[List[int]]) -> List[int]:
+    """In-place forward integer elimination; returns the pivot columns.
 
-    Each new row is divided by the gcd of its entries.  Row r ends nonzero at
-    pivots[r] and zero at the other pivots, the rows past them zero; row r
-    over its pivot entry is row r of the one RREF, that of Fractions.
+    Each new row is divided by the gcd of its entries.  Row r ends with its
+    first nonzero entry at pivots[r], each row zero at the pivots of the rows
+    before it, and the rows past them zero.
     """
     pivots = []
     n_rows = len(rows)
@@ -425,10 +426,34 @@ def _rref(rows: List[List[int]]) -> List[int]:
             continue
         rows[lead], rows[pivot_row] = rows[pivot_row], rows[lead]
         top = rows[lead]
-        for r in range(n_rows):
-            if r != lead and rows[r][col]:
+        for r in range(lead + 1, n_rows):
+            if rows[r][col]:
                 rows[r] = _cancel(rows[r], top, col)
         pivots.append(col)
+    return pivots
+
+
+def _back_substitute(rows: List[List[int]], pivots: List[int]) -> None:
+    """Clear the entries above each pivot of `_echelon`'s rows, in place.
+
+    Rows are replaced, never changed, so a shallow copy of the list is a copy.
+    """
+    for r in range(len(pivots) - 1, 0, -1):
+        p, bottom = pivots[r], rows[r]
+        for above in range(r):
+            if rows[above][p]:
+                rows[above] = _cancel(rows[above], bottom, p)
+
+
+def _rref(rows: List[List[int]]) -> List[int]:
+    """In-place integer Gauss-Jordan elimination; returns the pivot columns.
+
+    `_echelon`, then `_back_substitute`.  Row r ends nonzero at pivots[r] and
+    zero at the other pivots, the rows past them zero; row r over its pivot
+    entry is row r of the one RREF, that of Fractions.
+    """
+    pivots = _echelon(rows)
+    _back_substitute(rows, pivots)
     return pivots
 
 
@@ -440,35 +465,71 @@ def _cancel(row: List[int], top: List[int], col: int) -> List[int]:
     return [y // g for y in out] if g > 1 else out
 
 
-def _kernel_basis(rows: List[List[int]], n_cols: int) -> List[List[Fraction]]:
-    """Kernel of the integer matrix with these rows: one vector per free column
-    of its RREF, read from the integer rows as -row[free] / row[pivot]."""
+def _kernel_basis(rows: List[List[int]], n_cols: int) -> List[List[int]]:
+    """Kernel of the integer matrix with these rows, in ints.
+
+    One vector per free column of its RREF: den * v, where v is 1 at the free
+    column and -row[free] / row[pivot] at each pivot, and den > 0 is the lcm
+    of the pivot entries it reads.  RREF rows are zero left of their pivots,
+    so den, at the free column, is the vector's last nonzero entry.
+    """
     pivots = _rref(rows)
-    zero, one = Fraction(0), Fraction(1)
     basis = []
     for free in range(n_cols):
         if free in pivots:
             continue
-        vec = [zero] * n_cols
-        vec[free] = one
-        for row, p in zip(rows, pivots):
-            if row[free]:
-                vec[p] = Fraction(-row[free], row[p])
+        reads = [(row, p) for row, p in zip(rows, pivots) if row[free]]
+        den = lcm(*[row[p] for row, p in reads])  # a list, as in _d_columns
+        vec = [0] * n_cols
+        vec[free] = den
+        for row, p in reads:
+            vec[p] = -row[free] * (den // row[p])
         basis.append(vec)
     return basis
 
 
-@dataclass
 class CohomologyGroup:
-    """Ext group of the Hom complex in one degree, with witnesses."""
+    """Ext group of the Hom complex in one degree, with witnesses.
 
-    degree: int
-    dim: int
-    ker_dim: int
-    im_dim: int
-    reps: list
-    cocycles: list = None
-    coboundaries: list = None
+    `reps` are cocycles whose classes form a basis of the group, `cocycles` a
+    basis of ker D^degree, and `coboundaries` the nonzero RREF rows of
+    im D^(degree-1); each is a list of HomCochains.  `cocycles` and
+    `coboundaries` are given as lists, or as functions that build them: a
+    group from `cohomology` holds only `reps` built, and builds each of the
+    other two from the integer rows it keeps on first access, once.
+    """
+
+    __slots__ = ("degree", "dim", "ker_dim", "im_dim", "reps", "_cocycles", "_coboundaries")
+
+    def __init__(self, degree, dim, ker_dim, im_dim, reps, cocycles=None, coboundaries=None):
+        self.degree = degree
+        self.dim = dim
+        self.ker_dim = ker_dim
+        self.im_dim = im_dim
+        self.reps = reps
+        self._cocycles = cocycles
+        self._coboundaries = coboundaries
+
+    @property
+    def cocycles(self) -> list:
+        if callable(self._cocycles):
+            self._cocycles = self._cocycles()
+        return self._cocycles
+
+    @property
+    def coboundaries(self) -> list:
+        if callable(self._coboundaries):
+            self._coboundaries = self._coboundaries()
+        return self._coboundaries
+
+    def _fields(self) -> tuple:
+        return (self.degree, self.dim, self.ker_dim, self.im_dim,
+                self.reps, self.cocycles, self.coboundaries)
+
+    def __eq__(self, other):
+        return isinstance(other, CohomologyGroup) and self._fields() == other._fields()
+
+    __hash__ = None
 
     def to_dict(self) -> dict:
         return {
@@ -483,25 +544,28 @@ class CohomologyGroup:
 def cohomology(source: MatrixComplex, target: MatrixComplex, degree: int) -> CohomologyGroup:
     """ker D^degree / im D^(degree-1), exactly, with cocycle witnesses.
 
-    Both D are the integer L*D of `_d_columns`, each eliminated once (`_rref`).
-    The cocycles are the kernel basis of D^degree, the coboundaries the
-    nonzero RREF rows of the image of D^(degree-1).  The representatives are
-    the first cocycles, in order, independent of the image and of the ones
-    before: each cocycle, in ints, is reduced against the image's echelon
-    rows and the representatives kept so far, and kept if something is left.
+    Both D are the integer L*D of `_d_columns`, each eliminated once: D^degree
+    to its RREF for the kernel basis, the image of D^(degree-1) forward only
+    (`_echelon`).  The representatives are the first cocycles, in order,
+    independent of the image and of the ones before: each cocycle, in ints,
+    is reduced against the image's echelon rows and the representatives kept
+    so far, in that order, and kept if something is left.  Each of those
+    rows is zero at the pivots of the rows before it, so one pass clears
+    every pivot.  Only the representatives become cochains here; the group
+    builds the cocycles, and the coboundaries after a back pass over a copy
+    of the image's rows, when they are first read.
     """
     degree = _degree(degree)
     layout = _basis_layout(source, target, degree)
     n = sum(r * c for _, r, c in layout)
     kernel = _kernel_basis(list(zip(*_d_columns(source, target, degree)[1])), n)
     image = _d_columns(source, target, degree - 1)[1]
-    echelon = list(zip(_rref(image), image))  # the nonzero rows come first
-    zero = Fraction(0)
-    coboundaries = [[Fraction(y, row[p]) if y else zero for y in row] for p, row in echelon]
+    pivots = _echelon(image)
+    del image[len(pivots) :]  # the zero rows
+    echelon = list(zip(pivots, image))
     reps = []
     for vec in kernel:
-        den = lcm(*(x.denominator for x in vec))
-        w = [x.numerator * (den // x.denominator) for x in vec]
+        w = vec
         for p, row in echelon:
             if w[p]:
                 w = _cancel(w, row, p)
@@ -509,14 +573,28 @@ def cohomology(source: MatrixComplex, target: MatrixComplex, degree: int) -> Coh
         if lead is not None:
             echelon.append((lead, w))
             reps.append(vec)
-    dim = len(kernel) - len(coboundaries)
+    dim = len(kernel) - len(image)
     if len(reps) != dim:
         raise InvariantError(f"degree {degree}: {len(reps)} representatives, dimension {dim}")
-    witnesses = (
-        [_unflatten(source, target, degree, layout, vec) for vec in vecs]
-        for vecs in (reps, kernel, coboundaries)
+
+    def cochains(vecs, dens):  # each integer vector over its den, as Fractions
+        zero = Fraction(0)
+        return [
+            _unflatten(source, target, degree, layout, [Fraction(y, d) if y else zero for y in v])
+            for v, d in zip(vecs, dens)
+        ]
+
+    def cocycles(vecs):  # a kernel vector over its last nonzero entry
+        return cochains(vecs, [next(y for y in reversed(v) if y) for v in vecs])
+
+    def coboundaries():
+        rows = image[:]
+        _back_substitute(rows, pivots)
+        return cochains(rows, [row[p] for p, row in zip(pivots, rows)])
+
+    return CohomologyGroup(
+        degree, dim, len(kernel), len(image), cocycles(reps), lambda: cocycles(kernel), coboundaries
     )
-    return CohomologyGroup(degree, dim, len(kernel), len(coboundaries), *witnesses)
 
 
 # ---------------------------------------------------------------------------

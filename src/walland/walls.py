@@ -799,8 +799,8 @@ def _nearby_certificate(P, v, ch, L) -> Ext2Certificate:
 
 
 def _dual_certificate(P, v, ch, L) -> Ext2Certificate:
-    ch2, D2, s2 = dual_reduce(ch, L.D, P.s)
-    L2 = SurfaceLattice(L.basis, L.gram, L.H, D2, L.K, L.chiO)
+    ch2, _, s2 = dual_reduce(ch, L.D, P.s)
+    L2 = L.mirrored()
     P2 = StabPoint(s2, P.q)
     v2 = vtilde(ch2, L2)
     negated = False

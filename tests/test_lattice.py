@@ -178,6 +178,21 @@ def test_constants_and_twists_match_pair_definitions(p2, quartic, product_surfac
             assert vtilde(ch, L) == VTilde(L.pair(H, H) * t.r, L.pair(H, t.c1), t.e)
 
 
+def test_mirrored_is_the_lattice_of_minus_D(p2, quartic, product_surface):
+    # mirrored copies what D -> -D keeps and drops the cached scan
+    # constants, which read D
+    odd = [SurfaceLattice.from_dict(ODD_SCALE[name]) for name in sorted(ODD_SCALE)]
+    for L in [p2, quartic, product_surface] + odd:
+        L.scan_constants(2)
+        got = L.mirrored()
+        want = SurfaceLattice(L.basis, L.gram, L.H, -L.D, L.K, L.chiO)
+        assert got == want and got.mirrored() == L
+        assert (got.HH, got.HK, got.KK, got.DD, got._gram) == (
+            want.HH, want.HK, want.KK, want.DD, want._gram
+        )
+        assert got.scan_constants(2) == want.scan_constants(2)
+
+
 def test_vtilde_examples(p2):
     assert vtilde(CharVec.make(1, [0], 0), p2).as_tuple() == (1, 0, 0)
     assert vtilde(CharVec.make(0, [0], 1), p2).as_tuple() == (0, 0, 1)

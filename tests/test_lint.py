@@ -145,7 +145,7 @@ def test_trusted_rows_enter_mat_once():
         (func, _callee(node))
         for name, func, node in _nodes()
         if name == "traces.py"
-        and func in ("cohomology", "_rref", "_kernel_basis")
+        and func in ("cohomology", "_rref", "_echelon", "_back_substitute", "_kernel_basis")
         and isinstance(node, ast.Call)
         and _callee(node) in ("parse_frac", "Mat")
     )

@@ -16,6 +16,7 @@ import reference_cohomology as ref
 from walland.traces import (
     Mat,
     MatrixComplex,
+    _echelon,
     _rref,
     cohomology,
     hom_differential,
@@ -182,3 +183,16 @@ def test_rref_matches_fraction_elimination():
         normalised = [[F(y, row[p]) for y in row] for row, p in zip(got, pivots)]
         normalised += [[F(y) for y in row] for row in got[len(pivots) :]]
         assert normalised == want, rows
+
+
+def test_echelon_finds_the_rref_pivots():
+    # the forward pass alone: the pivots of the Fraction RREF, each row's
+    # first nonzero entry at its pivot, and the rows past the rank zero
+    rng = random.Random(5008)
+    for rows in _matrices(rng):
+        L = lcm(*(x.denominator for row in rows for x in row))
+        got = [[x.numerator * (L // x.denominator) for x in row] for row in rows]
+        pivots = _echelon(got)
+        assert pivots == ref._rref([list(r) for r in rows]), rows
+        assert all(row[p] and not any(row[:p]) for row, p in zip(got, pivots)), rows
+        assert not any(x for row in got[len(pivots) :] for x in row), rows

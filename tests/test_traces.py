@@ -264,6 +264,43 @@ def test_cohomology_dimension_mismatch_raises(monkeypatch):
         cohomology(two_term(0), two_term(0), 0)
 
 
+def test_cohomology_builds_witnesses_on_demand(monkeypatch):
+    # cohomology turns only the representatives into cochains; the cocycles
+    # and the coboundaries are built on first access, once, and match the
+    # reference copy
+    import reference_cohomology as ref
+    import walland.traces as traces
+
+    real = traces._unflatten
+    built = []
+
+    def counted(*args):
+        built.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(traces, "_unflatten", counted)
+    rng = random.Random(23)
+    seen = 0
+    for _ in range(20):
+        C = random_complex(rng)
+        for k in range(1 - len(C), len(C)):
+            built.clear()
+            grp = cohomology(C, C, k)
+            assert len(built) == grp.dim
+            cocycles = grp.cocycles
+            assert len(built) == grp.dim + grp.ker_dim
+            coboundaries = grp.coboundaries
+            assert len(built) == grp.dim + grp.ker_dim + grp.im_dim
+            assert grp.cocycles is cocycles and grp.coboundaries is coboundaries
+            assert len(built) == grp.dim + grp.ker_dim + grp.im_dim
+            assert set(built) <= {k}
+            want = ref.cohomology(C, C, k)
+            assert cocycles == want.cocycles and coboundaries == want.coboundaries
+            assert grp == want
+            seen += grp.im_dim > 0 and grp.dim > 0
+    assert seen > 10
+
+
 def test_cohomology_witnesses_fuzz():
     rng = random.Random(20)
     for _ in range(60):
