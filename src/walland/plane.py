@@ -266,14 +266,21 @@ def _int_triple(c0: Fraction, c1: Fraction, c2: Fraction):
     return [f.numerator * (lcm // f.denominator) for f in (c0, c1, c2)]
 
 
-def _canonical_int_triple(c0: Fraction, c1: Fraction, c2: Fraction):
-    a = _int_triple(c0, c1, c2)
+def _primitive(a, zero="zero homogeneous triple"):
+    """An integer triple over its gcd, the first nonzero entry positive.
+
+    The zero triple raises PreconditionError(zero).
+    """
     g = gcd(*a)
     if g == 0:
-        raise PreconditionError("zero homogeneous triple")
-    if (a[0] or a[1] or a[2]) < 0:  # the first nonzero entry comes out positive
+        raise PreconditionError(zero)
+    if (a[0] or a[1] or a[2]) < 0:
         g = -g
     return (a[0] // g, a[1] // g, a[2] // g)
+
+
+def _canonical_int_triple(c0: Fraction, c1: Fraction, c2: Fraction):
+    return _primitive(_int_triple(c0, c1, c2))
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ from .lattice import VTilde, discriminant
 from .plane import (
     PlaneLine,
     PlanePoint,
-    _canonical_int_triple,
     _cross3,
     _int_triple,
+    _primitive,
     line_intersection,
     parse_frac,
     sign_of,
@@ -293,15 +293,24 @@ def phase_compare(P: StabPoint, v: VTilde, w: VTilde) -> int:
     return theta_compare(_heart_charge(P, v), _heart_charge(P, w))
 
 
+def _wall_coeffs(v, w) -> tuple:
+    """Canonical coefficients of the wall of integer triples v and w.
+
+    The line through both plane points: the cross product, over its gcd,
+    first nonzero entry positive, so any nonzero scale of v or w gives
+    the same triple.
+    """
+    return _primitive(
+        _cross3(v, w), "projectively identical characters define no wall"
+    )
+
+
 def wall_of(v: VTilde, w: VTilde) -> PlaneLine:
     """Line of parameter points where the two charges share a ray."""
     if v.is_zero or w.is_zero:
         raise ZeroChargeError("zero character defines no wall")
-    # the line through both plane points; its canonical triple ignores scale
-    normal = _cross3(_int_triple(*v.as_tuple()), _int_triple(*w.as_tuple()))
-    if not any(normal):
-        raise PreconditionError("projectively identical characters define no wall")
-    return PlaneLine(_canonical_int_triple(*normal))
+    V, W = _int_triple(*v.as_tuple()), _int_triple(*w.as_tuple())
+    return PlaneLine(_wall_coeffs(V, W))
 
 
 def walls_disjoint_above_parabola(v: VTilde, w1: VTilde, w2: VTilde) -> PlanePoint:

@@ -34,7 +34,7 @@ class Mat:
     def _of_fractions(rows: int, cols: int, data) -> "Mat":
         """A Mat of rows of Fractions made in this module: shape-checked, not coerced."""
         m = Mat.__new__(Mat)
-        m._fill(rows, cols, tuple(map(tuple, data)))
+        m._fill(rows, cols, tuple([tuple(r) for r in data]))
         return m
 
     def _fill(self, rows: int, cols: int, data: tuple) -> None:

@@ -55,10 +55,13 @@ from .stability import (
     HeartPosition,
     LiftedPhase,
     StabPoint,
+    _wall_coeffs,
     canonical_ray,
     central_charge,
     heart_sign_check,
     segment_point,
+    # not called here; walland.walls.wall_of stays the name that
+    # perfbench/tracing.py wraps
     wall_of,
 )
 
@@ -120,7 +123,8 @@ def _meet(ring, f):
     for i in range(len(ring) == 2, len(ring)):  # a segment has one edge
         fa, fb = f[i - 1], f[i]
         if fa * fb < 0:
-            pts.append(tuple(fa * y - fb * x for x, y in zip(ring[i - 1], ring[i])))
+            (g0, s0, q0), (g1, s1, q1) = ring[i - 1], ring[i]
+            pts.append((fa * g1 - fb * g0, fa * s1 - fb * s0, fa * q1 - fb * q0))
     return pts
 
 
@@ -308,7 +312,7 @@ def enumerate_candidate_walls(
     point and det(v, w, corner) is linear in k, so the k whose wall misses
     the region are cut out in closed form by corner signs before any
     witness is built.  Both keep rules decide a survivor in ints from these
-    pencil forms f = det(v, w, corner), before any wall_of call: with
+    pencil forms f = det(v, w, corner), before its wall is built: with
     Z(w) = (n / d) * Z(v) on the wall, _ratio gives (n, d) times a common
     nonzero integer at an integer point of it.
 
@@ -340,6 +344,8 @@ def enumerate_candidate_walls(
     the k bounds are exact floors and ceils by //, and one M > 0 on v and
     w moves no wall line, no meet and no sign of n or d^2 - n^2.  Every
     test reads w alone, so each c1 class of scan_constants is scanned once.
+    A kept wall is _wall_coeffs of M*v and M*w, the formula of wall_of, and
+    the returned witnesses hold one Fraction(x, M) per distinct int x.
     PreconditionError is raised when the bounds allow more than _SCAN_LIMIT
     (rank, c1) pairs, or survivors counted per c1 vector would pass it.
     """
@@ -368,7 +374,6 @@ def enumerate_candidate_walls(
         # 2*lam*<w, u> > Q(w) + lam^2*Q(u) >= 0, so
         # Q(v) = Q(w) + Q(u) + 2*<w, u> > 0.
         return []
-    vM = VTilde(*V)
     m = ring[0][0]
     qs = [q for _, _, q in ring]
     # m*M times the max of |Re Z(v)| over the region: linear, so corners suffice
@@ -448,14 +453,21 @@ def enumerate_candidate_walls(
                     ratios = (_ratio(V, w, vertical, p) for p in _meet(ring, f))
                     if not any(n != 0 and n * n < d * d for n, d in ratios):
                         continue
-                wall = wall_of(vM, VTilde(*w))
-                if split:
-                    crossing[wall.coeffs] = Fraction(f0, f0 - f1)
-                found.setdefault(wall.coeffs, set()).add(w)
+                # V x w != 0: the public rule has passed _proportional, and
+                # in the split rule w proportional to V would give f0 = f1 = 0
+                coeffs = _wall_coeffs(V, w)
+                if split and coeffs not in crossing:
+                    crossing[coeffs] = Fraction(f0, f0 - f1)
+                found.setdefault(coeffs, set()).add(w)
+    # one Fraction per distinct int, shared by the witnesses that hold it
+    ints = {x for ws in found.values() for w in ws for x in w}
+    frac = {x: Fraction(x, M) for x in ints}
     return [
         CandidateWall(
             PlaneLine(coeffs),
-            tuple(VTilde(*(Fraction(x, M) for x in w)) for w in sorted(found[coeffs])),
+            tuple(
+                VTilde(frac[a], frac[b], frac[c]) for a, b, c in sorted(found[coeffs])
+            ),
             crossing.get(coeffs),
         )
         for coeffs in sorted(found)
@@ -769,6 +781,16 @@ def ext2_vanishing_certificate(
         raise PreconditionError("surface is not in the anticanonical regime (H.K >= 0)")
     if vtilde(ch, L) != v:
         raise PreconditionError("character projection does not match v")
+    return _certificate(P, v, ch, L)
+
+
+def _certificate(P, v, ch, L) -> Ext2Certificate:
+    """ext2_vanishing_certificate for v = vtilde(ch, L) and L in the regime.
+
+    The nearby and dual branches recurse here: the nearby branch keeps v,
+    ch and L, and the dual branch passes v2 = vtilde(ch2, L2), negated with
+    ch2, on the mirror L2, whose H.K is L's.
+    """
     if heart_sign_check(P, v) is HeartPosition.Fails:
         raise PreconditionError("character fails the heart sign test at P")
     if discriminant(v) < 0:
@@ -793,7 +815,7 @@ def _nearby_certificate(P, v, ch, L) -> Ext2Certificate:
             P2 = StabPoint(s2, P.q)
             break
         eps /= 2
-    inner = ext2_vanishing_certificate(P2, v, ch, L)
+    inner = _certificate(P2, v, ch, L)
     data = {"P": P.to_dict(), "P_perturbed": P2.to_dict(), "v": v.to_list()}
     return Ext2Certificate("NearbyStability", data, inner)
 
@@ -806,7 +828,7 @@ def _dual_certificate(P, v, ch, L) -> Ext2Certificate:
     negated = False
     if heart_sign_check(P2, v2) is HeartPosition.Fails:
         ch2, v2, negated = -ch2, -v2, True
-    inner = ext2_vanishing_certificate(P2, v2, ch2, L2)
+    inner = _certificate(P2, v2, ch2, L2)
     data = {
         "P": P.to_dict(),
         "P_mirror": P2.to_dict(),

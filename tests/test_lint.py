@@ -154,15 +154,25 @@ def test_trusted_rows_enter_mat_once():
 
 def test_one_integer_wall_decision():
     # enumerate_candidate_walls decides witnesses in ints at the points of
-    # walls._meet; wall_clip only turns those points into Fractions
+    # walls._meet; wall_clip only turns those points into Fractions.  Kept
+    # walls come from the scan's integer triples through the one integer
+    # wall formula, which wall_of calls too, and its gcd-and-sign step is
+    # the one that canonicalises every triple.
     calls = {
         (func, node.func.attr if isinstance(node.func, ast.Attribute) else _callee(node))
         for name, func, node in _nodes()
-        if name == "walls.py" and isinstance(node, ast.Call)
+        if name in ("walls.py", "stability.py", "plane.py") and isinstance(node, ast.Call)
     }
     assert ("enumerate_candidate_walls", "central_charge") not in calls
     assert ("enumerate_candidate_walls", "wall_clip") not in calls
     assert ("_wall_clip", "_meet") in calls
+    assert ("enumerate_candidate_walls", "wall_of") not in calls
+    assert ("enumerate_candidate_walls", "_wall_coeffs") in calls
+    assert ("wall_of", "_wall_coeffs") in calls
+    assert {func for func, callee in calls if callee == "_primitive"} == {
+        "_canonical_int_triple",
+        "_wall_coeffs",
+    }
 
 
 def test_no_float_division_in_floor_or_ceil():

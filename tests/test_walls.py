@@ -116,6 +116,44 @@ def test_enumerate_walls_pass_through_character_point(p2):
                 assert wall_of(v, w) == cand.wall
 
 
+@pytest.mark.parametrize(
+    "name, v, P, Q",
+    [
+        # M = 2: the lattice's scale is 1 and v2 has denominator 2
+        ("p1xp1_twisted", (2, 1, F(-7, 2)), (-3, 9), (2, 5)),
+        # M = 2: the lattice's scale, with a half-integral v2
+        ("p2", (2, 1, F(-5, 2)), (-4, 9), (3, 6)),
+    ],
+)
+def test_scan_walls_and_witnesses_built_in_ints(name, v, P, Q, p2, product_surface):
+    # both rules build walls and witnesses from the scan's integer triples;
+    # each must be the wall_of and the Fractions of the reference scan
+    L = {"p2": p2, "p1xp1_twisted": product_surface}[name]
+    v, P, Q = V(*v), SP(*P), SP(*Q)
+    box = (min(P.s, Q.s), max(P.s, Q.s), F(17, 2), 10)
+    public = ref.enumerate_candidate_walls(v, ref.SegmentRegion(P, Q), 3, 5, L)
+    scans = [
+        (enumerate_candidate_walls(v, SegmentRegion(P, Q), 3, 5, L), public),
+        (
+            enumerate_candidate_walls(v, BoxRegion(*box), 3, 5, L),
+            ref.enumerate_candidate_walls(v, ref.BoxRegion(*box), 3, 5, L),
+        ),
+    ]
+    split = enumerate_candidate_walls(v, SegmentRegion(P, Q), 3, 5, L, split=True)
+    assert [(cw.wall.coeffs, cw.witnesses, cw.crossing) for cw in split] == (
+        ref.walk_filter(v, P, Q, public)
+    )
+    for got, want in scans:
+        assert [cw.to_dict() for cw in got] == [cw.to_dict() for cw in want]
+        assert [cw.witnesses for cw in got] == [cw.witnesses for cw in want]
+    for got in [got for got, _ in scans] + [split]:
+        assert got
+        for cw in got:
+            for w in cw.witnesses:
+                assert wall_of(v, w) == cw.wall
+                assert all(type(x) is F for x in w.as_tuple()), w
+
+
 def test_enumerate_huge_character_refused_fast(p2):
     # ch2 steps up to about 10^400 survive the corner-sign cut, so the
     # scan is refused before it starts
@@ -736,6 +774,21 @@ def test_certificate_preconditions(p2, quartic):
     chq = CharVec.make(1, [0], 0)
     with pytest.raises(PreconditionError):
         ext2_vanishing_certificate(SP(-1, 1), vtilde(chq, quartic), chq, quartic)
+
+
+def test_certificate_checks_projection_once(p2, monkeypatch):
+    # a v that is not vtilde(ch) is refused before any branch runs
+    ch = CharVec.make(-1, [1], 2)
+    with pytest.raises(PreconditionError, match="character projection does not match v"):
+        ext2_vanishing_certificate(SP(3, 6), vtilde(ch, p2) + V(0, 0, 1), ch, p2)
+    # the dual branch builds one projection on the mirror and recurses
+    # without checking it again: 3 calls, not 4, on the way to the left branch
+    P = SP(3, 6)
+    want = ext2_vanishing_certificate(P, vtilde(ch, p2), ch, p2)
+    calls = []
+    monkeypatch.setattr(walls, "vtilde", lambda c, L: calls.append(c) or vtilde(c, L))
+    assert ext2_vanishing_certificate(P, vtilde(ch, p2), ch, p2) == want
+    assert want.branch == "DualReduction" and len(calls) == 3
 
 
 def test_certificate_failure_payload(p2):
