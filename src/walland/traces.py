@@ -84,7 +84,7 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise DimensionMismatch("matrix addition shape mismatch")
-        return Mat(
+        return Mat._of_fractions(
             self.rows,
             self.cols,
             [
@@ -101,7 +101,7 @@ class Mat:
 
     def scale(self, c) -> "Mat":
         c = parse_frac(c)
-        return Mat(self.rows, self.cols, [[c * x for x in row] for row in self.data])
+        return Mat._of_fractions(self.rows, self.cols, [[c * x for x in row] for row in self.data])
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -117,7 +117,7 @@ class Mat:
                         acc += a * other.data[k][j]
                 row.append(acc)
             out.append(row)
-        return Mat(self.rows, other.cols, out)
+        return Mat._of_fractions(self.rows, other.cols, out)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -544,36 +544,37 @@ class CohomologyGroup:
 def cohomology(source: MatrixComplex, target: MatrixComplex, degree: int) -> CohomologyGroup:
     """ker D^degree / im D^(degree-1), exactly, with cocycle witnesses.
 
-    Both D are the integer L*D of `_d_columns`, each eliminated once: D^degree
-    to its RREF for the kernel basis, the image of D^(degree-1) forward only
-    (`_echelon`).  The representatives are the first cocycles, in order,
-    independent of the image and of the ones before: each cocycle, in ints,
-    is reduced against the image's echelon rows and the representatives kept
-    so far, in that order, and kept if something is left.  Each of those
-    rows is zero at the pivots of the rows before it, so one pass clears
-    every pivot.  Only the representatives become cochains here; the group
-    builds the cocycles, and the coboundaries after a back pass over a copy
-    of the image's rows, when they are first read.
+    Both D are the integer L*D of `_d_columns`.  D^degree goes to its RREF
+    for the kernel basis.  Kernel vector j is den_j at its free column, its
+    last nonzero entry, and zero at the other free columns, so a cocycle is
+    fixed by its entries at the free columns.  Every column of D^(degree-1)
+    is a cocycle (d o d = 0), so the image is eliminated forward only
+    (`_echelon`) on those entries alone, taken in reverse column order.
+    The representatives are the first cocycles, in order, independent of
+    the image and of the ones before: the kernel vectors whose free column
+    is not the last nonzero entry of an echelon row, nor that of a
+    representative before them.  Only the representatives become cochains
+    here; the group builds the cocycles, and the coboundaries from the RREF
+    of a copy of the image's columns, when they are first read.
     """
     degree = _degree(degree)
     layout = _basis_layout(source, target, degree)
     n = sum(r * c for _, r, c in layout)
     kernel = _kernel_basis(list(zip(*_d_columns(source, target, degree)[1])), n)
+    free = [n - 1 - next(i for i, y in enumerate(reversed(v)) if y) for v in kernel]
     image = _d_columns(source, target, degree - 1)[1]
-    pivots = _echelon(image)
-    del image[len(pivots) :]  # the zero rows
-    echelon = list(zip(pivots, image))
+    projected = [[col[f] for f in reversed(free)] for col in image]
+    # a cocycle zero at every free column is zero
+    if any(any(col) and not any(row) for col, row in zip(image, projected)):
+        raise InvariantError(f"degree {degree}: a coboundary is not a cocycle")
+    pivots = _echelon(projected)
+    taken = {free[-1 - p] for p in pivots}
     reps = []
-    for vec in kernel:
-        w = vec
-        for p, row in echelon:
-            if w[p]:
-                w = _cancel(w, row, p)
-        lead = next((j for j, y in enumerate(w) if y), None)
-        if lead is not None:
-            echelon.append((lead, w))
+    for vec, f in zip(kernel, free):
+        if f not in taken:
+            taken.add(f)
             reps.append(vec)
-    dim = len(kernel) - len(image)
+    dim = len(kernel) - len(pivots)
     if len(reps) != dim:
         raise InvariantError(f"degree {degree}: {len(reps)} representatives, dimension {dim}")
 
@@ -589,11 +590,12 @@ def cohomology(source: MatrixComplex, target: MatrixComplex, degree: int) -> Coh
 
     def coboundaries():
         rows = image[:]
-        _back_substitute(rows, pivots)
-        return cochains(rows, [row[p] for p, row in zip(pivots, rows)])
+        pivots = _rref(rows)
+        return cochains(rows[: len(pivots)], [row[p] for p, row in zip(pivots, rows)])
 
     return CohomologyGroup(
-        degree, dim, len(kernel), len(image), cocycles(reps), lambda: cocycles(kernel), coboundaries
+        degree, dim, len(kernel), len(pivots), cocycles(reps),
+        lambda: cocycles(kernel), coboundaries,
     )
 
 

@@ -127,20 +127,45 @@ def test_one_hom_differential_formula():
     assert ("traces.py", "hom_differential") in d_columns_callers
 
 
+def _top_level_calls():
+    """(file name, qualified name, call node) over the package.
+
+    A method is named Class.method, and a call in a nested function counts
+    for the module-level function or method around it.
+    """
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        scopes = []
+        for node in tree.body:
+            name = getattr(node, "name", None)
+            if isinstance(node, ast.ClassDef):
+                scopes += [(f"{name}.{getattr(m, 'name', '')}", m) for m in node.body]
+            else:
+                scopes.append((name, node))
+        for qualname, scope in scopes:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call):
+                    yield path.name, qualname, node
+
+
 def test_trusted_rows_enter_mat_once():
     # Mat._of_fractions skips parse_frac, so only _unflatten, which writes
-    # the Fractions the integer elimination made, may build a Mat with it;
-    # the elimination itself builds no Mat and coerces nothing
+    # the Fractions the integer elimination made, and the Mat arithmetic,
+    # whose entries are sums and products of Fractions, may build a Mat with
+    # it; the elimination itself builds no Mat and coerces nothing
     private = sorted(
         {
             (name, func)
-            for name, func, node in _nodes()
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "_of_fractions"
+            for name, func, node in _top_level_calls()
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "_of_fractions"
         }
     )
-    assert private == [("traces.py", "_unflatten")]
+    assert private == [
+        ("traces.py", "Mat.__add__"),
+        ("traces.py", "Mat.__mul__"),
+        ("traces.py", "Mat.scale"),
+        ("traces.py", "_unflatten"),
+    ]
     coerced = sorted(
         (func, _callee(node))
         for name, func, node in _nodes()
@@ -150,6 +175,18 @@ def test_trusted_rows_enter_mat_once():
         and _callee(node) in ("parse_frac", "Mat")
     )
     assert coerced == []
+
+
+def test_one_elimination_routine():
+    # every integer row operation is _cancel inside the forward pass or the
+    # back pass; cohomology picks its representatives by pivots, not by
+    # reducing rows of its own
+    callers = {
+        (name, func)
+        for name, func, node in _top_level_calls()
+        if _callee(node) == "_cancel"
+    }
+    assert callers == {("traces.py", "_echelon"), ("traces.py", "_back_substitute")}
 
 
 def test_one_integer_wall_decision():

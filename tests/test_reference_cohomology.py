@@ -10,12 +10,17 @@ witnesses included, in every degree, the same D and the same RREF.
 
 import random
 from fractions import Fraction as F
+from itertools import product
 from math import lcm
 
+import pytest
 import reference_cohomology as ref
+import walland.traces as traces
+from walland.errors import InvariantError
 from walland.traces import (
     Mat,
     MatrixComplex,
+    _cancel,
     _echelon,
     _rref,
     cohomology,
@@ -196,3 +201,68 @@ def test_echelon_finds_the_rref_pivots():
         assert pivots == ref._rref([list(r) for r in rows]), rows
         assert all(row[p] and not any(row[:p]) for row, p in zip(got, pivots)), rows
         assert not any(x for row in got[len(pivots) :] for x in row), rows
+
+
+def _row_sets(rng):
+    # integer rows in Z^k of every rank up to full, with zero and duplicate rows
+    yield 3, []
+    yield 4, [[0] * 4 for _ in range(3)]
+    for k, rank, _ in product(range(9), range(9), range(4)):
+        if rank <= k:
+            n_rows = rng.randint(rank, k + 2)
+            left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(n_rows)]
+            right = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rank)]
+            rows = [[sum(a * r[c] for a, r in zip(row, right)) for c in range(k)] for row in left]
+            rows += [[0] * k for _ in range(rng.randint(0, 2))]
+            rows += [list(rng.choice(rows)) for _ in range(rng.randint(0, 2))] if rows else []
+            rng.shuffle(rows)
+            yield k, rows
+
+
+def _kept_by_one_pass(k, rows):
+    # each unit vector reduced against the echelon rows and the ones kept
+    # before it, in that order; kept if something is left
+    rows = [list(row) for row in rows]
+    echelon = list(zip(_echelon(rows), rows))
+    kept = []
+    for j in range(k):
+        w = [int(i == j) for i in range(k)]
+        for p, row in echelon:
+            if w[p]:
+                w = _cancel(w, row, p)
+        lead = next((i for i, y in enumerate(w) if y), None)
+        if lead is not None:
+            echelon.append((lead, w))
+            kept.append(j)
+    return kept
+
+
+def test_pivot_rule_keeps_the_one_pass_classes():
+    # cohomology keeps the unit vectors e_j of the free coordinates whose j
+    # is not the last nonzero entry of an echelon row: the forward pass over
+    # the columns in reverse order
+    rng = random.Random(2020)
+    seen_full = 0
+    for k, rows in _row_sets(rng):
+        pivots = _echelon([row[::-1] for row in rows])
+        kept = [j for j in range(k) if k - 1 - j not in pivots]
+        assert kept == _kept_by_one_pass(k, rows), (k, rows)
+        assert len(kept) == k - len(pivots)
+        seen_full += k > 0 and kept == []
+    assert seen_full
+
+
+def test_cohomology_refuses_a_coboundary_outside_the_kernel(monkeypatch):
+    # C = Q --1--> Q: D^0 = (1, -1) has its pivot at column 0 and its free
+    # column at 1, so the unit vector at column 0 is zero at the free column
+    # but no cocycle
+    C = MatrixComplex((1, 1), (Mat.make([[1]]),))
+    real = traces._d_columns
+
+    def one_more_column(source, target, degree):
+        L, cols = real(source, target, degree)
+        return L, (cols + [[1, 0]] if degree == -1 else cols)
+
+    monkeypatch.setattr(traces, "_d_columns", one_more_column)
+    with pytest.raises(InvariantError, match="degree 0: a coboundary is not a cocycle"):
+        cohomology(C, C, 0)
