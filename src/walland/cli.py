@@ -103,7 +103,7 @@ def _cmd_ext2(args) -> str:
     ch = _parse_char(args.char, L)
     P = StabPoint.make(args.s, args.q)
     cert = ext2_vanishing_certificate(P, vtilde(ch, L), ch, L)
-    if getattr(args, "svg", None):
+    if args.svg:
         leaf = cert
         while leaf.inner is not None:
             leaf = leaf.inner
@@ -199,9 +199,9 @@ def _add_surface_char(p):
     )
 
 
-def _add_point(p, suffix="", required=True):
-    p.add_argument(f"--s{suffix}", required=required)
-    p.add_argument(f"--q{suffix}", required=required)
+def _add_point(p, suffix=""):
+    p.add_argument(f"--s{suffix}", required=True)
+    p.add_argument(f"--q{suffix}", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,6 +24,11 @@ def quad_to_json(x) -> dict:
     return {"a": frac_str(x.a), "b": frac_str(x.b), "delta": frac_str(x.d)}
 
 
+def pair_to_json(xy) -> list:
+    """A coordinate pair (x, y) of rationals or QuadNums."""
+    return [quad_to_json(xy[0]), quad_to_json(xy[1])]
+
+
 def quad_from_json(d: dict) -> QuadNum:
     try:
         return QuadNum(parse_frac(d["a"]), parse_frac(d["b"]), parse_frac(d["delta"]))

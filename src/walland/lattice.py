@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
 
 from .errors import DimensionMismatch, PreconditionError, SchemaError
-from .plane import PlanePoint, parse_frac
+from .plane import PlanePoint, _den_lcm, _scaled, parse_frac
 
 
 @dataclass(frozen=True)
@@ -55,11 +54,6 @@ class DivisorClass:
         return all(c == 0 for c in self.coords)
 
 
-def _scaled(xs, m: int) -> tuple:
-    """The rationals xs times m, a multiple of all their denominators, as ints."""
-    return tuple(x.numerator * (m // x.denominator) for x in xs)
-
-
 @dataclass(frozen=True)
 class SurfaceLattice:
     """Intersection data (basis, gram, H, D, K, chiO) of a polarized surface."""
@@ -86,7 +80,7 @@ class SurfaceLattice:
             raise SchemaError("gram matrix shape does not match basis")
         if any(tuple(row) != col for row, col in zip(self.gram, zip(*self.gram))):
             raise SchemaError("gram matrix must be symmetric")
-        g = math.lcm(*(x.denominator for x in chain(*self.gram)))
+        g = _den_lcm(chain(*self.gram))
         G = tuple(_scaled(row, g) for row in self.gram)
         object.__setattr__(self, "_gram", (g, G))  # frozen dataclass
         H, D, K = self.H, self.D, self.K
@@ -106,8 +100,7 @@ class SurfaceLattice:
         if len(a.coords) != self.rank or len(b.coords) != self.rank:
             raise DimensionMismatch("divisor coordinates do not match basis")
         g, G = self._gram
-        da = math.lcm(*(x.denominator for x in a.coords))
-        db = math.lcm(*(x.denominator for x in b.coords))
+        da, db = _den_lcm(a.coords), _den_lcm(b.coords)
         B = _scaled(b.coords, db)
         total = 0
         for ai, row in zip(_scaled(a.coords, da), G):
@@ -144,9 +137,9 @@ class SurfaceLattice:
             return self._scan[1]
         box = map(self.divisor, product(range(-c1_bound, c1_bound + 1), repeat=self.rank))
         terms = [(self.pair(self.H, c), self.pair(c, c) / 2 - self.pair(self.D, c)) for c in box]
-        M = math.lcm(*(x.denominator for x in chain((self.HH, self.DD / 2), *terms)))
-        classes = Counter((int(a * M), int(b * M) % M) for a, b in terms)
-        out = (M, int(self.HH * M), int(self.DD * M / 2),
+        M = _den_lcm(chain((self.HH, self.DD / 2), *terms))
+        classes = Counter((a, b % M) for a, b in (_scaled(t, M) for t in terms))
+        out = (M, *_scaled((self.HH, self.DD / 2), M),
                tuple((a, b, n) for (a, b), n in classes.items()))
         object.__setattr__(self, "_scan", (c1_bound, out))  # frozen dataclass
         return out

@@ -62,6 +62,18 @@ def _exponent_literal(x: str, shown: str, limit: int) -> Fraction:
     raise PreconditionError(f"{shown} has a number beyond the {limit}-digit print limit")
 
 
+def _den_lcm(xs) -> int:
+    """The lcm of the denominators of the rationals xs."""
+    # lcm of a list, not of a generator: CPython resizes a tuple built from a
+    # generator, and the resized tuples pile up on its tuple free lists
+    return math.lcm(*[x.denominator for x in xs])
+
+
+def _scaled(xs, m: int) -> list:
+    """The rationals xs times m, a multiple of all their denominators, as ints."""
+    return [x.numerator * (m // x.denominator) for x in xs]
+
+
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
@@ -260,12 +272,6 @@ def sign_of(x: Coord) -> int:
     return (x > 0) - (x < 0)
 
 
-def _int_triple(c0: Fraction, c1: Fraction, c2: Fraction):
-    """The triple times the lcm of its denominators: integers, same ratios."""
-    lcm = math.lcm(c0.denominator, c1.denominator, c2.denominator)
-    return [f.numerator * (lcm // f.denominator) for f in (c0, c1, c2)]
-
-
 def _primitive(a, zero="zero homogeneous triple"):
     """An integer triple over its gcd, the first nonzero entry positive.
 
@@ -280,7 +286,8 @@ def _primitive(a, zero="zero homogeneous triple"):
 
 
 def _canonical_int_triple(c0: Fraction, c1: Fraction, c2: Fraction):
-    return _primitive(_int_triple(c0, c1, c2))
+    c = (c0, c1, c2)
+    return _primitive(_scaled(c, _den_lcm(c)))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,9 @@ from .plane import (
     PlaneLine,
     PlanePoint,
     _cross3,
-    _int_triple,
+    _den_lcm,
     _primitive,
+    _scaled,
     line_intersection,
     parse_frac,
     sign_of,
@@ -76,10 +77,6 @@ class ChargeValue(NamedTuple):
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def ray(self):
-        """Canonical coprime integer direction (re, im)."""
-        return canonical_ray(self.re, self.im)
-
     def to_dict(self) -> dict:
         return {"re": str(self.re), "im": str(self.im)}
 
@@ -111,8 +108,7 @@ def canonical_ray(x, y):
     x, y = parse_frac(x), parse_frac(y)
     if x == 0 and y == 0:
         raise ZeroChargeError("zero vector has no direction")
-    m = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
-    a, b = int(x * m), int(y * m)
+    a, b = _scaled((x, y), _den_lcm((x, y)))
     g = gcd(abs(a), abs(b))
     return (a // g, b // g)
 
@@ -244,11 +240,11 @@ class LiftedPhase:
         return self.n + theta_approx(self.ray)
 
     def to_dict(self) -> dict:
-        from .jsonio import quad_to_json
+        from .jsonio import pair_to_json
 
         return {
             "n": self.n,
-            "ray": [quad_to_json(self.ray[0]), quad_to_json(self.ray[1])],
+            "ray": pair_to_json(self.ray),
             "approx": round(self.approx(), 12),
         }
 
@@ -285,7 +281,7 @@ def _heart_charge(P: StabPoint, v: VTilde) -> ChargeValue:
 def phase(P: StabPoint, v: VTilde) -> PhaseValue:
     """Principal phase Arg(Z)/pi for a heart-sign character."""
     z = _heart_charge(P, v)
-    return PhaseValue(z.ray(), theta_approx(z))
+    return PhaseValue(canonical_ray(*z), theta_approx(z))
 
 
 def phase_compare(P: StabPoint, v: VTilde, w: VTilde) -> int:
@@ -309,7 +305,7 @@ def wall_of(v: VTilde, w: VTilde) -> PlaneLine:
     """Line of parameter points where the two charges share a ray."""
     if v.is_zero or w.is_zero:
         raise ZeroChargeError("zero character defines no wall")
-    V, W = _int_triple(*v.as_tuple()), _int_triple(*w.as_tuple())
+    V, W = (_scaled(t, _den_lcm(t)) for t in (v.as_tuple(), w.as_tuple()))
     return PlaneLine(_wall_coeffs(V, W))
 
 

@@ -16,7 +16,7 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DimensionMismatch, InvariantError, PreconditionError
-from .plane import parse_frac
+from .plane import _den_lcm, _scaled, parse_frac
 
 
 class Mat:
@@ -202,28 +202,19 @@ class HomCochain:
         self.target = target
         self.degree = _degree(degree)
         filled: Dict[int, Mat] = {}
-        for i in self._support(source, target, self.degree):
-            want = (target.dims[i + self.degree], source.dims[i])
+        for i, r, c in _basis_layout(source, target, self.degree):
             got = comps.get(i)
             if got is None:
-                got = Mat.zero(*want)
-            elif got.shape != want:
+                got = Mat.zero(r, c)
+            elif got.shape != (r, c):
                 raise DimensionMismatch(
-                    f"component {i} has shape {got.shape}, wanted {want}"
+                    f"component {i} has shape {got.shape}, wanted {(r, c)}"
                 )
             filled[i] = got
         for i in comps:
             if i not in filled and not comps[i].is_zero:
                 raise DimensionMismatch(f"component {i} outside the cochain support")
         self.comps = filled
-
-    @staticmethod
-    def _support(source, target, degree):
-        return [
-            i
-            for i in range(len(source.dims))
-            if 0 <= i + degree < len(target.dims)
-        ]
 
     def component(self, i: int) -> Optional[Mat]:
         return self.comps.get(i)
@@ -300,7 +291,7 @@ def compose(a: HomCochain, b: HomCochain) -> HomCochain:
         raise DimensionMismatch("composition needs matching middle complex")
     k = a.degree + b.degree
     out: Dict[int, Mat] = {}
-    for i in HomCochain._support(b.source, a.target, k):
+    for i, _, _ in _basis_layout(b.source, a.target, k):
         bi = b.component(i)
         ai = a.component(i + b.degree)
         if bi is not None and ai is not None:
@@ -334,13 +325,12 @@ def theta_pairing(a: HomCochain, b: HomCochain) -> Fraction:
 
 
 def _basis_layout(source, target, degree):
-    """Coordinates (component, row, col) of Hom^degree, with offsets."""
-    layout = []
-    for i in HomCochain._support(source, target, degree):
-        r = target.dims[i + degree]
-        c = source.dims[i]
-        layout.append((i, r, c))
-    return layout
+    """(i, rows, cols) per component source^i -> target^(i+degree) of Hom^degree."""
+    return [
+        (i, target.dims[i + degree], c)
+        for i, c in enumerate(source.dims)
+        if 0 <= i + degree < len(target.dims)
+    ]
 
 
 def _flatten(f: HomCochain, layout) -> List[Fraction]:
@@ -381,13 +371,12 @@ def _d_columns(source, target, degree) -> Tuple[int, List[List[int]]]:
         for i, r, c in _basis_layout(source, target, k)
     ]
     used = [d for *_, d_t, d_s in blocks for d in (d_t, d_s) if d is not None]
-    # lcm of a list, not of a generator: CPython resizes a tuple built from a
-    # generator, and the resized tuples pile up on its tuple free lists
-    L = lcm(*[x.denominator for d in used for row in d.data for x in row])
+    L = _den_lcm(x for d in used for row in d.data for x in row)
+    L_s = -L if k % 2 == 0 else L  # -(-1)^k L, the factor of d_s
     cols = []
     for i, r, c, d_t, d_s in blocks:
-        t = _scaled(d_t, L)
-        s = _scaled(d_s, -L if k % 2 == 0 else L)  # -(-1)^k L d_s
+        t = None if d_t is None else [_scaled(row, L) for row in d_t.data]
+        s = None if d_s is None else [_scaled(row, L_s) for row in d_s.data]
         for a in range(r):
             for b in range(c):
                 col = [0] * m
@@ -399,12 +388,6 @@ def _d_columns(source, target, degree) -> Tuple[int, List[List[int]]]:
                     col[start : start + d_s.cols] = s[b]
                 cols.append(col)
     return L, cols
-
-
-def _scaled(d: Optional[Mat], L: int) -> Optional[List[List[int]]]:
-    """The rows of L*d, in ints when L clears d's denominators; None for no d."""
-    if d is not None:
-        return [[x.numerator * (L // x.denominator) for x in row] for row in d.data]
 
 
 def _echelon(rows: List[List[int]]) -> List[int]:
@@ -479,7 +462,7 @@ def _kernel_basis(rows: List[List[int]], n_cols: int) -> List[List[int]]:
         if free in pivots:
             continue
         reads = [(row, p) for row, p in zip(rows, pivots) if row[free]]
-        den = lcm(*[row[p] for row, p in reads])  # a list, as in _d_columns
+        den = lcm(*[row[p] for row, p in reads])  # a list, as in plane._den_lcm
         vec = [0] * n_cols
         vec[free] = den
         for row, p in reads:
@@ -644,11 +627,8 @@ def random_complex(rng, max_len: int = 5, max_dim: int = 4, entry_bound: int = 3
 def random_cochain(
     rng, source: MatrixComplex, target: MatrixComplex, degree: int, entry_bound: int = 3
 ) -> HomCochain:
-    comps = {}
-    for i in HomCochain._support(source, target, degree):
-        r = target.dims[i + degree]
-        c = source.dims[i]
-        comps[i] = Mat(
+    comps = {
+        i: Mat(
             r,
             c,
             [
@@ -656,6 +636,8 @@ def random_cochain(
                 for _ in range(r)
             ],
         )
+        for i, r, c in _basis_layout(source, target, degree)
+    }
     return HomCochain(source, target, degree, comps)
 
 

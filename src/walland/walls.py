@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
     ZeroChargeError,
 )
-from .jsonio import quad_to_json
+from .jsonio import pair_to_json
 from .lattice import (
     CharVec,
     SurfaceLattice,
@@ -45,6 +45,9 @@ from .lattice import (
 from .plane import (
     ParabolaShift,
     PlaneLine,
+    _cross3,
+    _den_lcm,
+    _scaled,
     line_intersection,
     line_parabola_intersect,
     line_through,
@@ -104,8 +107,8 @@ class EnumerationBounds:
 
 def _ring(corners):
     """Corners (s, q) as homogeneous integer triples (m, m*s, m*q), one m > 0."""
-    m = math.lcm(*(x.denominator for corner in corners for x in corner))
-    return tuple((m, int(s * m), int(q * m)) for s, q in corners)
+    m = _den_lcm(chain(*corners))
+    return tuple((m, *_scaled(corner, m)) for corner in corners)
 
 
 def _meet(ring, f):
@@ -144,9 +147,7 @@ class SegmentRegion:
     """Closed segment between two stability parameters."""
 
     def __init__(self, P: StabPoint, Q: StabPoint):
-        self.P = P
-        self.Q = Q
-        self.ring = _ring(((P.s, P.q), (Q.s, Q.q)))
+        self.ring = _ring((P, Q))
 
     wall_clip = _wall_clip
 
@@ -155,14 +156,12 @@ class BoxRegion:
     """Axis-aligned closed box strictly above the parabola."""
 
     def __init__(self, s_lo, s_hi, q_lo, q_hi):
-        self.s_lo, self.s_hi = parse_frac(s_lo), parse_frac(s_hi)
-        self.q_lo, self.q_hi = parse_frac(q_lo), parse_frac(q_hi)
-        if self.s_lo > self.s_hi or self.q_lo > self.q_hi:
+        s0, s1, q0, q1 = map(parse_frac, (s_lo, s_hi, q_lo, q_hi))
+        if s0 > s1 or q0 > q1:
             raise PreconditionError("empty box region")
         # max of s^2/2 over [s_lo, s_hi] sits at a corner
-        for s in (self.s_lo, self.s_hi):
-            StabPoint.make(s, self.q_lo)
-        s0, s1, q0, q1 = self.s_lo, self.s_hi, self.q_lo, self.q_hi
+        for s in (s0, s1):
+            StabPoint(s, q0)
         self.ring = _ring(((s0, q0), (s0, q1), (s1, q1), (s1, q0)))  # cyclic
 
     wall_clip = _wall_clip
@@ -171,15 +170,6 @@ class BoxRegion:
 # ---------------------------------------------------------------------------
 # the destabilizing ratio on a wall
 # ---------------------------------------------------------------------------
-
-
-def _proportional(v, w) -> bool:
-    """Whether the integer triples v and w are proportional (w = 0 included)."""
-    return (
-        v[1] * w[2] - v[2] * w[1] == 0
-        and v[2] * w[0] - v[0] * w[2] == 0
-        and v[0] * w[1] - v[1] * w[0] == 0
-    )
 
 
 def _ratio(v, w, vertical: bool, point):
@@ -359,11 +349,11 @@ def enumerate_candidate_walls(
     if split and len(ring) != 2:
         raise PreconditionError("the split rule needs a segment region")
     M_L, H2, half_DD, classes = L.scan_constants(bounds.c1_bound)
-    M = math.lcm(M_L, *(x.denominator for x in v.as_tuple()))
+    M = math.lcm(M_L, _den_lcm(v.as_tuple()))
     f = M // M_L  # c = c' mod M_L exactly when f*c = f*c' mod M
     H2, half_DD = H2 * f, half_DD * f
     classes = [(w1 * f, c_base * f, n) for w1, c_base, n in classes]
-    V = V0, V1, V2 = tuple(int(x * M) for x in v.as_tuple())
+    V = V0, V1, V2 = _scaled(v.as_tuple(), M)
     if split and V1 * V1 == 2 * V0 * V2:
         # No split of a v with Q(v) = v1^2 - 2*v0*v2 = 0.  Q is negative on
         # ker Z_R = span(1, s, q) at any R above the parabola, as
@@ -379,7 +369,7 @@ def enumerate_candidate_walls(
     # m*M times the max of |Re Z(v)| over the region: linear, so corners suffice
     envelope = max(abs(q * V0 - m * V2) for q in qs)
     # det(v, w, corner) = w . (corner x v)
-    normals = [(s * V2 - q * V1, q * V0 - m * V2, m * V1 - s * V0) for m, s, q in ring]
+    normals = [_cross3(corner, V) for corner in ring]
     row = classes
     if split:
         (_, S0, Q0), (_, S1, Q1) = ring
@@ -447,13 +437,14 @@ def enumerate_candidate_walls(
                     if not 0 < n * d < d * d:
                         continue
                 else:
-                    if _proportional(V, w):  # also w = 0 and w = v
+                    # w proportional to v, w = 0 and w = v included, is vertical
+                    if vertical and not any(_cross3(V, w)):
                         continue
                     f = [a + b * k for a, b in forms]
                     ratios = (_ratio(V, w, vertical, p) for p in _meet(ring, f))
                     if not any(n != 0 and n * n < d * d for n, d in ratios):
                         continue
-                # V x w != 0: the public rule has passed _proportional, and
+                # V x w != 0: the public rule skips w proportional to V, and
                 # in the split rule w proportional to V would give f0 = f1 = 0
                 coeffs = _wall_coeffs(V, w)
                 if split and coeffs not in crossing:
@@ -503,8 +494,8 @@ class PhaseInterval:
             "hi": self.hi.to_dict(),
             "labels": dict(self.labels),
             "Q": self.Q.to_dict(),
-            "A": [quad_to_json(self.A[0]), quad_to_json(self.A[1])],
-            "B": [quad_to_json(self.B[0]), quad_to_json(self.B[1])],
+            "A": pair_to_json(self.A),
+            "B": pair_to_json(self.B),
             "chord": [str(c) for c in self.chord.coeffs],
             "degenerate_endpoint": self.degenerate_endpoint,
         }
@@ -754,10 +745,6 @@ def expected_moduli_dim(ch: CharVec, L: SurfaceLattice) -> Fraction:
     return 1 - euler_pairing(ch, ch, L)
 
 
-def _pt_json(xy) -> list:
-    return [quad_to_json(xy[0]), quad_to_json(xy[1])]
-
-
 def _fail(message: str, payload: dict):
     raise CertificateFailure(message, payload)
 
@@ -869,9 +856,8 @@ def _left_certificate(P, v, ch, L) -> Ext2Certificate:
     A, B = pts1
     A2, B2 = pts2
     data = dict(base)
-    data.update(
-        {"A": _pt_json(A), "B": _pt_json(B), "Ap": _pt_json(A2), "Bp": _pt_json(B2)}
-    )
+    for key, xy in (("A", A), ("B", B), ("Ap", A2), ("Bp", B2)):
+        data[key] = pair_to_json(xy)
 
     zP = central_charge(P, v)
     zQK = central_charge(Q, vK)

@@ -20,12 +20,16 @@ from walland.errors import InvariantError
 from walland.traces import CohomologyGroup, HomCochain, Mat, MatrixComplex
 
 
+def _support(source, target, degree):
+    return [i for i in range(len(source.dims)) if 0 <= i + degree < len(target.dims)]
+
+
 def hom_differential(f: HomCochain) -> HomCochain:
     """D(f)^i = d_target^(i+k) f^i - (-1)^k f^(i+1) d_source^i."""
     k = f.degree
     sign = -1 if k % 2 else 1
     out = {}
-    for i in HomCochain._support(f.source, f.target, k + 1):
+    for i in _support(f.source, f.target, k + 1):
         acc = Mat.zero(f.target.dims[i + k + 1], f.source.dims[i])
         d_t = f.target.diff(i + k)
         fi = f.component(i)
@@ -42,7 +46,7 @@ def hom_differential(f: HomCochain) -> HomCochain:
 def _basis_layout(source, target, degree):
     """Coordinates (component, row, col) of Hom^degree, with offsets."""
     layout = []
-    for i in HomCochain._support(source, target, degree):
+    for i in _support(source, target, degree):
         r = target.dims[i + degree]
         c = source.dims[i]
         layout.append((i, r, c))

@@ -1,6 +1,7 @@
 """End-to-end command tests: schemas, exit codes, determinism."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from walland.cli import main
+from walland.plane import QuadNum
 
 SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
 P2 = str(SURFACES / "p2.json")
@@ -286,6 +288,22 @@ def test_phase_bounds_interval(capsys):
     assert itv["degenerate_endpoint"] is None
     assert itv["A"][0] == {"a": "2", "b": "-1", "delta": "6"}
     assert itv["lo"]["n"] == 0
+
+
+def test_phase_bounds_beyond_float_range(capsys, monkeypatch):
+    # the chord ends' ray components overflow float(), so theta_approx
+    # floors them exactly (QuadNum.__floor__) and scales them down to show
+    floors = []
+    floor = QuadNum.__floor__
+    monkeypatch.setattr(QuadNum, "__floor__", lambda x: floors.append(x) or floor(x))
+    code, doc = run_json(
+        capsys, "phase-bounds", "--surface", P2, "--char", "1,0,-1",
+        "--s=1e200", "--q=1e401", "--s2=-1e200", "--q2=1e401",
+    )
+    assert code == 0
+    assert len(floors) == 4  # both components of both ends' rays
+    itv = doc["interval"]
+    assert all(math.isfinite(itv[end]["approx"]) for end in ("lo", "hi"))
 
 
 def test_supertrace_fuzz_clean(capsys):

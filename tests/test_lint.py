@@ -39,6 +39,68 @@ def test_one_rational_coercion():
     assert [d for d in defs if d[1] == "parse_frac"] == [("plane.py", "parse_frac")]
 
 
+def test_denominators_cleared_in_plane():
+    # plane._den_lcm and plane._scaled turn rationals into ints; elsewhere
+    # only CharVec.is_integral reads a denominator, to test integrality
+    readers = sorted(
+        {
+            (name, func)
+            for name, func, node in _nodes()
+            if name != "plane.py"
+            and isinstance(node, ast.Attribute)
+            and node.attr == "denominator"
+        }
+    )
+    assert readers == [("lattice.py", "is_integral")]
+
+
+def _det2_factors(node):
+    # the four factors of a*b - c*d, or None
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+        return None
+    prods = (node.left, node.right)
+    if not all(isinstance(p, ast.BinOp) and isinstance(p.op, ast.Mult) for p in prods):
+        return None
+    return {ast.unparse(x) for p in prods for x in (p.left, p.right)}
+
+
+def _writes_cross3(node) -> bool:
+    # three 2x2 determinants side by side, in a tuple or a chain of tests,
+    # no factor common to all three (an edge crossing fa*end - fb*start is not)
+    if isinstance(node, (ast.Tuple, ast.List)):
+        parts = node.elts
+    elif isinstance(node, ast.BoolOp):
+        parts = [v.left if isinstance(v, ast.Compare) else v for v in node.values]
+    else:
+        return False
+    factors = [_det2_factors(p) for p in parts]
+    return len(factors) == 3 and None not in factors and not set.intersection(*factors)
+
+
+def test_one_integer_cross_product():
+    # the integer cross product is written once, as plane._cross3: the scan's
+    # corner normals and its proportionality test call it
+    sites = sorted((name, func) for name, func, node in _nodes() if _writes_cross3(node))
+    assert sites == [("plane.py", "_cross3")]
+    defs = {node.name for name, _, node in _nodes() if isinstance(node, ast.FunctionDef)}
+    assert "_proportional" not in defs
+
+
+def test_one_hom_layout():
+    # traces._basis_layout alone pairs source^i with target^(i + degree)
+    sites = sorted(
+        {
+            (name, func)
+            for name, func, node in _nodes()
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "dims"
+            and isinstance(node.slice, ast.BinOp)
+        }
+    )
+    assert sites == [("traces.py", "_basis_layout")]
+
+
 def _writes_re_z(node) -> bool:
     # -x.v2 + <expr>
     return (
