@@ -74,6 +74,21 @@ def _scaled(xs, m: int) -> list:
     return [x.numerator * (m // x.denominator) for x in xs]
 
 
+def _sign_root(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d) for ints a, b and d >= 0.
+
+    The one place a^2 is compared with b^2*d: only a and b of strictly
+    opposite signs, with d > 0, need it.
+    """
+    sb = (b > 0) - (b < 0)
+    if not (sb and d):
+        return (a > 0) - (a < 0)
+    if a * sb >= 0:
+        return sb
+    t = a * a - b * b * d
+    return (t > 0) - (t < 0) if a > 0 else (t < 0) - (t > 0)
+
+
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
@@ -170,7 +185,8 @@ class QuadNum:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        d = self._join(other)
+        return QuadNum._of(self.a - other.a, self.b - other.b, d)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -191,10 +207,11 @@ class QuadNum:
         if other is NotImplemented:
             return NotImplemented
         d = self._join(other)
+        # b != 0 only with d no square, so only 0 has a zero norm
+        if not (other.a or other.b):
+            raise ZeroDivisionError("division by zero QuadNum")
         # multiply by the conjugate of the divisor
         n = other.a * other.a - other.b * other.b * d
-        if n == 0:
-            raise ZeroDivisionError("division by zero QuadNum")
         inv = QuadNum._of(other.a / n, -other.b / n, d)
         return self * inv
 
@@ -205,18 +222,14 @@ class QuadNum:
 
     def sign(self) -> int:
         a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 d
-        t = a * a - b * b * d
-        s = (t > 0) - (t < 0)
-        return s if a > 0 else -s
+        # a + b*sqrt(d) = a + b*sqrt(pd*qd)/qd for d = pd/qd, so the positive
+        # multiple a.den*b.den*qd of it has int coefficients
+        qd = d.denominator
+        return _sign_root(
+            a.numerator * b.denominator * qd,
+            b.numerator * a.denominator,
+            d.numerator * qd,
+        )
 
     def _cmp(self, other) -> int:
         other = self._coerce(other)
@@ -270,6 +283,36 @@ def sign_of(x: Coord) -> int:
     if isinstance(x, QuadNum):
         return x.sign()
     return (x > 0) - (x < 0)
+
+
+def _cross_sign(p, q) -> int:
+    """Sign of p[0]*q[1] - p[1]*q[0] from integer products.
+
+    The entries are ints, Fractions or QuadNums of one radicand d = pd/qd.
+    With sqrt(d) = sqrt(pd*qd)/qd, one m > 0 turns each entry into
+    (A + B*sqrt(D)) / m with ints A, B and D = pd*qd.  Entries of two
+    radicands are left to QuadNum arithmetic, which raises
+    MixedRadicalError unless a zero factor drops one of them.
+    """
+    xs = (*p, *q)
+    d = _ZERO
+    for x in xs:
+        if type(x) is QuadNum and x.b:
+            if d and x.d != d:
+                return sign_of(p[0] * q[1] - p[1] * q[0])
+            d = x.d
+    qd = d.denominator
+    parts = [(x.a, x.b) if type(x) is QuadNum else (x, 0) for x in xs]
+    m = math.lcm(*[a.denominator for a, _ in parts], *[b.denominator * qd for _, b in parts])
+    a0, a1, c0, c1 = [a.numerator * (m // a.denominator) for a, _ in parts]
+    b0, b1, e0, e1 = [b.numerator * (m // (b.denominator * qd)) for _, b in parts]
+    D = d.numerator * qd
+    # (a0 + b0*r)(c1 + e1*r) - (a1 + b1*r)(c0 + e0*r) with r = sqrt(D)
+    return _sign_root(
+        a0 * c1 - a1 * c0 + (b0 * e1 - b1 * e0) * D,
+        a0 * e1 + b0 * c1 - a1 * e0 - b1 * c0,
+        D,
+    )
 
 
 def _primitive(a, zero="zero homogeneous triple"):

@@ -27,6 +27,7 @@ from .plane import (
     PlaneLine,
     PlanePoint,
     _cross3,
+    _cross_sign,
     _den_lcm,
     _primitive,
     _scaled,
@@ -113,16 +114,38 @@ def canonical_ray(x, y):
     return (a // g, b // g)
 
 
+def _ray_at(R, X):
+    """canonical_ray(central_charge(R, x)) in ints.
+
+    R = (g, g*s, g*q) with g > 0 is the point (s, q) and X a positive
+    multiple of x, both integer triples: g*M*Z(x) = (gq*X0 - g*X2) +
+    i*(g*X1 - gs*X0) for X = M*x.
+    """
+    g, gs, gq = R
+    re, im = gq * X[0] - g * X[2], g * X[1] - gs * X[0]
+    h = gcd(re, im)
+    if not h:
+        raise ZeroChargeError("zero vector has no direction")
+    return (re // h, im // h)
+
+
 def _neg_ray(ray):
     return (-ray[0], -ray[1])
 
 
 def ray_cross_sign(r1, r2) -> int:
-    return sign_of(r1[0] * r2[1] - r1[1] * r2[0])
+    """Sign of r1 x r2; entries may be Fractions or QuadNums of one radicand."""
+    x1, y1 = r1
+    x2, y2 = r2
+    if type(x1) is type(y1) is type(x2) is type(y2) is int:
+        t = x1 * y2 - y1 * x2
+        return (t > 0) - (t < 0)
+    return _cross_sign(r1, r2)
 
 
 def ray_dot_sign(r1, r2) -> int:
-    return sign_of(r1[0] * r2[0] + r1[1] * r2[1])
+    # r1 . r2 = r1 x (i*r2)
+    return ray_cross_sign(r1, (-r2[1], r2[0]))
 
 
 def _theta_bucket(ray) -> int:

@@ -48,6 +48,7 @@ from .plane import (
     _cross3,
     _den_lcm,
     _scaled,
+    _sign_root,
     line_intersection,
     line_parabola_intersect,
     line_through,
@@ -58,11 +59,11 @@ from .stability import (
     HeartPosition,
     LiftedPhase,
     StabPoint,
+    _ray_at,
     _wall_coeffs,
     canonical_ray,
     central_charge,
     heart_sign_check,
-    segment_point,
     # not called here; walland.walls.wall_of stays the name that
     # perfbench/tracing.py wraps
     wall_of,
@@ -148,6 +149,13 @@ class SegmentRegion:
 
     def __init__(self, P: StabPoint, Q: StabPoint):
         self.ring = _ring((P, Q))
+
+    @classmethod
+    def of_ring(cls, ring) -> "SegmentRegion":
+        """The segment between the ends (m, m*s, m*q) of ring, one m > 0."""
+        region = cls.__new__(cls)
+        region.ring = ring
+        return region
 
     wall_clip = _wall_clip
 
@@ -253,6 +261,13 @@ class CandidateWall:
 _SCAN_LIMIT = 10**6
 
 
+def _check_scan_pairs(bounds: EnumerationBounds, L: SurfaceLattice) -> None:
+    """Refuse bounds that allow more than _SCAN_LIMIT (rank, c1) pairs."""
+    pairs = (2 * bounds.rank_bound + 1) * (2 * bounds.c1_bound + 1) ** L.rank
+    if pairs > _SCAN_LIMIT:
+        raise PreconditionError(f"bounds allow over {_SCAN_LIMIT} (rank, c1) pairs")
+
+
 def _pencil_ks(lo: int, hi: int, forms):
     """Integers k in [lo, hi] whose wall meets the region, as ranges.
 
@@ -342,9 +357,7 @@ def enumerate_candidate_walls(
     bounds = EnumerationBounds(rank_bound, c1_bound)
     if v.is_zero:
         raise ZeroChargeError("zero character has no walls")
-    pairs = (2 * bounds.rank_bound + 1) * (2 * bounds.c1_bound + 1) ** L.rank
-    if pairs > _SCAN_LIMIT:
-        raise PreconditionError(f"bounds allow over {_SCAN_LIMIT} (rank, c1) pairs")
+    _check_scan_pairs(bounds, L)
     ring = region.ring
     if split and len(ring) != 2:
         raise PreconditionError("the split rule needs a segment region")
@@ -501,39 +514,30 @@ class PhaseInterval:
         }
 
 
-def _endpoint_lift(
-    X, P: StabPoint, Q: StabPoint, zP, anchor: LiftedPhase
-) -> LiftedPhase:
+def _endpoint_lift(X, Q: StabPoint, side: int, dx, dy, D: int, anchor) -> tuple:
     """Lift of the chord endpoint X viewed from Q, branch pinned by anchor.
 
-    The ray is i*(X - Q) on the side the heart ray leaves P, negated on
-    the other side; the integer part is the unique even offset landing the
-    value inside the open unit window around the anchor phase at P.
+    The ray is side*i*(X - Q), and X - Q a positive multiple of
+    (dx[0] + dx[1]*sqrt(D), dy[0] + dy[1]*sqrt(D)) in ints.  The integer
+    part, 0 or 2, lands the value inside the open unit window around the
+    anchor phase at P.  The turn of less than a half turn from the anchor's
+    ray to this one passes the negative real axis counterclockwise when it
+    leaves the closed upper half plane (n = 2), clockwise when it enters it
+    (outside both windows).  Returns the lift and k, the sign of
+    anchor x ray: the side of the anchor phase it lies on.
     """
-    re, im = zP
-    # plane direction of the charge ray at P
-    dir_s, dir_q = im, -re
-    side = ((X[0] - P.s) * dir_s + (X[1] - P.q) * dir_q).sign()
-    if side == 0:
-        raise DegenerateGeometryError("chord endpoint aligned with the base point")
-    dx = X[0] - Q.s
-    dy = X[1] - Q.q
-    if side > 0:
-        ray = (-dy, dx)  # i * (X - Q)
-    else:
-        ray = (dy, -dx)  # i * (Q - X)
-    lo = anchor.shift(-1)
-    hi = anchor.shift(1)
-    picked = None
-    for n in (0, 2):
-        cand = LiftedPhase(n, ray)
-        if lo.compare(cand) < 0 and cand.compare(hi) < 0:
-            if picked is not None:
-                raise DegenerateGeometryError("ambiguous endpoint lift window")
-            picked = cand
-    if picked is None:
+    ax, ay = anchor.ray
+    # anchor x (i*w) = anchor . w, and the ray's y entry is side*(X - Q).x
+    k = side * _sign_root(ax * dx[0] + ay * dy[0], ax * dx[1] + ay * dy[1], D)
+    ry = side * _sign_root(*dx, D)
+    if k < 0 and ay < 0 <= ry:
         raise DegenerateGeometryError("endpoint lift fell on the window boundary")
-    return picked
+    # k = 0 puts Q on the chord, strictly between A and B as P is: X - Q
+    # then points along X - P, and the ray along the anchor
+    n = 2 if k > 0 and ry < 0 <= ay else 0
+    dxq, dyq = X[0] - Q.s, X[1] - Q.q
+    ray = (-dyq, dxq) if side > 0 else (dyq, -dxq)  # i * (X - Q) or i * (Q - X)
+    return LiftedPhase(n, ray), k
 
 
 def phase_bound_interval(P: StabPoint, Q: StabPoint, v: VTilde) -> PhaseInterval:
@@ -542,14 +546,23 @@ def phase_bound_interval(P: StabPoint, Q: StabPoint, v: VTilde) -> PhaseInterval
     A and B are the parabola intersections of the line through v's plane
     point and P; their phases at Q are lifted through a rotation of less
     than a half turn from the anchor phase of v at P.
+
+    Every decision is an integer sign.  With the chord a + b*s + c*q = 0
+    scaled to c > 0 (a vertical chord has one endpoint) and D = b^2 - 2*a*c,
+    the endpoints are x = (-b -+ sqrt(D))/c, y = x^2/2, A first.  P lies
+    on the chord strictly between them, so X - P points along the chord's
+    charge ray (Im Z, -Re Z) for B and against it for A when Im Z(v) > 0
+    at P.  Both lifts lie within a half turn of the anchor, so they are
+    ordered by their sides of it, and on one side by the side of Q
+    relative to the chord.
     """
     if v.is_zero:
         raise ZeroChargeError("zero character has no phase interval")
     zP = central_charge(P, v)
     if zP.is_zero:
         raise PreconditionError("character plane point coincides with P")
-    Xv = v.plane_point()
-    L = line_through(Xv, P.plane_point())
+    Xv, Pp = v.plane_point(), P.plane_point()
+    L = line_through(Xv, Pp)
     pts = line_parabola_intersect(L, ParabolaShift(Fraction(0)))
     if len(pts) != 2:
         raise DegenerateGeometryError(
@@ -557,15 +570,22 @@ def phase_bound_interval(P: StabPoint, Q: StabPoint, v: VTilde) -> PhaseInterval
         )
     A, B = pts
     anchor = LiftedPhase(0, canonical_ray(*zP))
-    lam_A = _endpoint_lift(A, P, Q, zP, anchor)
-    lam_B = _endpoint_lift(B, P, Q, zP, anchor)
+    a, b, c = L.coeffs if L.coeffs[2] > 0 else [-x for x in L.coeffs]
+    D = b * b - 2 * a * c
+    ((q0, q1, q2),) = _ring((Q,))
+    # X - Q times c^2*q0 is (xq + e*c*q0*sqrt(D), yq - e*b*q0*sqrt(D)), e = -1 at A
+    xq, yq = -c * (b * q0 + c * q1), q0 * (b * b - a * c) - c * c * q2
+    side = (anchor.ray[1] > 0) - (anchor.ray[1] < 0)
+    lam_A, k_A = _endpoint_lift(A, Q, -side, (xq, -c * q0), (yq, b * q0), D, anchor)
+    lam_B, k_B = _endpoint_lift(B, Q, side, (xq, c * q0), (yq, -b * q0), D, anchor)
     degenerate = None
-    if not Xv.at_infinity:
-        if A[0] == Xv.x and A[1] == Xv.y:
-            degenerate = "A"
-        elif B[0] == Xv.x and B[1] == Xv.y:
-            degenerate = "B"
-    if lam_A.compare(lam_B) <= 0:
+    h0, h1, h2 = Xv.h
+    if h0 and h1 * h1 == 2 * h0 * h2:
+        # v's plane point is the endpoint on its side of P, h0 > 0
+        p0, p1, _ = Pp.h
+        degenerate = "A" if h1 * p0 < p1 * h0 else "B"
+    order = k_A - k_B if k_A != k_B else a * q0 + b * q1 + c * q2
+    if order <= 0:
         lo, hi = lam_A, lam_B
         labels = {"lo": "A", "hi": "B"}
     else:
@@ -664,57 +684,84 @@ def simulate_destabilization_paths(
     to destabilize keep walking).  Termination: each split strictly
     decreases the discriminant, which lives on a fixed rational grid and
     stays >= 0.
+
+    The walk runs on integer points of the segment: each node's start,
+    each crossing R and the charge rays of the walked character and of
+    both parts at R are read off integer triples, and the memo is keyed
+    in ints.  A character with v1^2 - 2*v0*v2 = 0 has no split, so its
+    node is not scanned.  Only the R of a printed event becomes a
+    StabPoint.
     """
     bounds = EnumerationBounds.coerce(bounds)
     if v.is_zero:
         raise ZeroChargeError("zero character cannot be walked")
-    z0 = central_charge(P, v)
-    if z0.is_zero:
+    if central_charge(P, v).is_zero:
         raise PreconditionError("character charge vanishes at the start point")
+    # the segment's ends as (m, m*s, m*q), one m > 0: the point at t = n/d
+    # is (d - n)*start + n*end, over d*m, and the end over d*m is d*end
+    start, end = _ring((P, Q))
+    m, ps, pq = start
+    _, qs, qq = end
+
+    def at(t: Fraction):
+        n, d = t.as_integer_ratio()
+        return (d * m, (d - n) * ps + n * qs, (d - n) * pq + n * qq), d
+
     memo = {}
 
-    def build(char: VTilde, t0: Fraction, entry: LiftedPhase) -> PathNode:
-        key = (char.as_tuple(), t0, entry.n)
+    def build(char: VTilde, C, t0: Fraction, n0: int, R0) -> PathNode:
+        # C is char's (ints, denominator) and the entry lift is n0 plus the
+        # ray of char at R0: the memo is keyed in ints before any ray is made
+        key = (C, t0.as_integer_ratio(), n0)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        start = segment_point(P, Q, t0)
-        z_end = central_charge(Q, char)
-        leaf = entry.transport(canonical_ray(*z_end))
+        X = C[0]
+        entry = LiftedPhase(n0, _ray_at(R0, X))
+        leaf = entry.transport(_ray_at(end, X))
         events = []
-        for cand in enumerate_candidate_walls(
-            char,
-            SegmentRegion(start, Q),
-            bounds.rank_bound,
-            bounds.c1_bound,
-            L,
-            split=True,
-        ):
+        if X[1] * X[1] == 2 * X[0] * X[2]:
+            # no split of Q(char) = 0 (enumerate_candidate_walls), but the
+            # scan's refusal of its bounds still holds
+            _check_scan_pairs(bounds, L)
+            cands = []
+        else:
+            p, d = at(t0)
+            region = SegmentRegion.of_ring((p, (p[0], d * qs, d * qq)))
+            cands = enumerate_candidate_walls(
+                char, region, bounds.rank_bound, bounds.c1_bound, L, split=True
+            )
+        for cand in cands:
             t_star = t0 + cand.crossing * (1 - t0)
-            R = segment_point(P, Q, t_star)
-            zR = central_charge(R, char)
-            lift_R = entry.transport(canonical_ray(*zR))
+            R, _ = at(t_star)
+            n = entry.transport(_ray_at(R, X)).n
             splits = []
             seen = set()
             for w in cand.witnesses:
                 u = char - w
-                pair_key = tuple(sorted((w.as_tuple(), u.as_tuple())))
-                if pair_key in seen:
+                W, U = _ints(w), _ints(u)
+                if (U, W) in seen:  # the split of an earlier witness u
                     continue
-                seen.add(pair_key)
-                zw = central_charge(R, w)
-                zu = (zR[0] - zw[0], zR[1] - zw[1])
-                w_node = build(w, t_star, LiftedPhase(lift_R.n, canonical_ray(*zw)))
-                u_node = build(u, t_star, LiftedPhase(lift_R.n, canonical_ray(*zu)))
+                seen.add((W, U))
+                w_node = build(w, W, t_star, n, R)
+                u_node = build(u, U, t_star, n, R)
                 splits.append(SplitPair(w, u, w_node, u_node))
             if splits:
+                R = StabPoint(Fraction(R[1], R[0]), Fraction(R[2], R[0]))
                 events.append(PathEvent(t_star, R, cand.wall, splits))
         events.sort(key=lambda e: (e.t, e.wall.coeffs))
         node = PathNode(char, t0, entry, leaf, events)
         memo[key] = node
         return node
 
-    return build(v, Fraction(0), LiftedPhase(0, canonical_ray(*z0)))
+    return build(v, _ints(v), Fraction(0), 0, start)
+
+
+def _ints(x: VTilde):
+    """x as (ints, M): x = ints / M, M the lcm of its denominators."""
+    t = x.as_tuple()
+    M = _den_lcm(t)
+    return tuple(_scaled(t, M)), M
 
 
 # ---------------------------------------------------------------------------

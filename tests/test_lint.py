@@ -86,6 +86,57 @@ def test_one_integer_cross_product():
     assert "_proportional" not in defs
 
 
+def _square(node) -> bool:
+    # x * x
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and ast.dump(node.left) == ast.dump(node.right)
+    )
+
+
+def _pairs_square_with_scaled_square(node) -> bool:
+    # a * a against b * b * d, as a difference or a comparison
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        sides = (node.left, node.right)
+    elif isinstance(node, ast.Compare) and len(node.comparators) == 1:
+        sides = (node.left, node.comparators[0])
+    else:
+        return False
+    scaled = [
+        isinstance(x, ast.BinOp) and isinstance(x.op, ast.Mult) and _square(x.left)
+        for x in sides
+    ]
+    return any(scaled) and any(_square(x) for x, sc in zip(sides, scaled) if not sc)
+
+
+def test_sign_of_a_plus_b_root_d_decided_once():
+    # plane._sign_root alone weighs a^2 against b^2*d; QuadNum division
+    # takes the norm as its divisor and compares nothing
+    sites = sorted(
+        {(name, func) for name, func, node in _nodes() if _pairs_square_with_scaled_square(node)}
+    )
+    assert sites == [("plane.py", "__truediv__"), ("plane.py", "_sign_root")]
+    tree = ast.parse((SRC / "plane.py").read_text(encoding="utf-8"))
+    (quad,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "QuadNum"]
+    methods = {n.name: n for n in quad.body if isinstance(n, ast.FunctionDef)}
+    (norm,) = [
+        n.targets[0].id
+        for n in ast.walk(methods["__truediv__"])
+        if isinstance(n, ast.Assign) and _pairs_square_with_scaled_square(n.value)
+    ]
+    compared = {
+        x.id
+        for n in ast.walk(methods["__truediv__"])
+        if isinstance(n, ast.Compare)
+        for x in ast.walk(n)
+        if isinstance(x, ast.Name)
+    }
+    assert norm not in compared
+    calls = {_callee(n) for n in ast.walk(methods["sign"]) if isinstance(n, ast.Call)}
+    assert "_sign_root" in calls
+
+
 def test_one_hom_layout():
     # traces._basis_layout alone pairs source^i with target^(i + degree)
     sites = sorted(
@@ -398,6 +449,7 @@ def test_trusted_quadnums_made_by_quadnum_arithmetic_and_chords():
         ("plane.py", "__add__"),
         ("plane.py", "__mul__"),
         ("plane.py", "__neg__"),
+        ("plane.py", "__sub__"),
         ("plane.py", "__truediv__"),
         ("plane.py", "_coerce"),
         ("plane.py", "line_parabola_intersect"),

@@ -47,6 +47,7 @@ from walland.walls import (
 )
 
 import reference_walls as ref
+from test_acceptance import _integral_char, _random_point
 from conftest import rand_frac, rand_stab
 
 
@@ -631,6 +632,8 @@ _SPLIT_CORPUS = (
 )
 # sha256 of the canonical JSON of their trees
 _SPLIT_DIGEST = "7873fbef6032aea2f4259247a1e7d56b76d6d6e41ec906fa5b089b149203ce66"
+# sha256 of the canonical JSON of the phase windows of all 200 instances
+_WINDOW_DIGEST = "2835bd7723940f50b9eec544333494c309e75b64d03b8453e49afedf7adab2c8"
 
 
 def test_simulate_split_choice_pinned(p2):
@@ -651,6 +654,24 @@ def test_simulate_split_choice_pinned(p2):
     assert digest == _SPLIT_DIGEST
 
 
+def test_criterion2_windows_pinned():
+    # the 200 windows of the criterion-2 corpus, drawn as test_acceptance
+    # draws them, keep their bytes
+    rng = random.Random(1002)
+    docs = []
+    while len(docs) < 200:
+        v = _integral_char(rng)
+        P, Q = _random_point(rng), _random_point(rng)
+        if central_charge(P, v).is_zero:
+            continue
+        try:
+            docs.append(phase_bound_interval(P, Q, v).to_dict())
+        except (DegenerateGeometryError, PreconditionError):
+            continue
+    digest = hashlib.sha256(dumps_canonical(docs).encode()).hexdigest()
+    assert digest == _WINDOW_DIGEST
+
+
 def test_simulate_leaves_in_interval_fuzz(p2):
     # Bogomolov-nonnegative walked characters, as in the containment lemma
     rng = random.Random(9950)
@@ -669,6 +690,33 @@ def test_simulate_leaves_in_interval_fuzz(p2):
         for char, lift in collect_leaves(root):
             assert itv.contains(lift)
         done += 1
+
+
+def test_simulate_scans_no_character_without_splits(p2, monkeypatch):
+    # a character with v1^2 - 2*v0*v2 = 0 has no split: its node makes no
+    # scan, but the walk still refuses the bounds the scan refuses
+    scanned = []
+    scan = walls.enumerate_candidate_walls
+
+    def spy(char, *args, **kwargs):
+        scanned.append(char)
+        return scan(char, *args, **kwargs)
+
+    def flat(x):
+        return x.v1 * x.v1 == 2 * x.v0 * x.v2
+
+    monkeypatch.setattr(walls, "enumerate_candidate_walls", spy)
+    P, Q = SP(F(-7, 4), F(7, 4)), SP(F(-5, 4), F(13, 16))
+    nodes = []
+    _walk(simulate_destabilization_paths(P, Q, V(1, 0, -1), (3, 5), p2), nodes.append)
+    assert sum(flat(node.char) for node in nodes) == 3
+    assert scanned == [node.char for node in nodes if not flat(node.char)]
+    root = simulate_destabilization_paths(SP(0, 1), SP(1, 2), V(1, 0, 0), (3, 5), p2)
+    assert root.events == [] and len(scanned) == 2
+    assert walls._SCAN_LIMIT < 2001 * 2001
+    for v in (V(1, 0, 0), V(2, 2, 1), V(0, 0, 1)):
+        with pytest.raises(PreconditionError, match="bounds allow over"):
+            simulate_destabilization_paths(SP(0, 1), SP(1, 2), v, (1000, 1000), p2)
 
 
 def test_simulate_rejects_degenerate_starts(p2):
