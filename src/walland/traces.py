@@ -11,6 +11,7 @@ row reduction.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
@@ -134,9 +135,9 @@ class Mat:
 
 
 class MatrixComplex:
-    """Terms in degrees 0..n-1 with differentials raising degree by one."""
+    """Terms in degrees 0..n-1 with differentials raising degree by one; h[i] = dim H^i."""
 
-    __slots__ = ("dims", "diffs")
+    __slots__ = ("dims", "diffs", "h")
 
     def __init__(self, dims, diffs):
         dims = tuple(dims)
@@ -156,6 +157,8 @@ class MatrixComplex:
                 raise PreconditionError("differentials do not square to zero")
         self.dims = dims
         self.diffs = diffs
+        ranks = [0, *map(_rank, diffs), 0]
+        self.h = tuple(d - ranks[i] - ranks[i + 1] for i, d in enumerate(dims))
 
     def __len__(self):
         return len(self.dims)
@@ -269,20 +272,14 @@ class HomCochain:
 def hom_differential(f: HomCochain) -> HomCochain:
     """D(f)^i = d_target^(i+k) f^i - (-1)^k f^(i+1) d_source^i.
 
-    Computed as the sum of the integer columns of L*D (`_d_columns`, the one
-    place the formula is written) weighted by the entries of f, over L.
+    Computed as the product of the sparse integer rows of L*D (`_d_rows`,
+    the one place the formula is written) with the entries of f, over L.
     """
     k = f.degree
-    layout = _basis_layout(f.source, f.target, k)
-    out_layout = _basis_layout(f.source, f.target, k + 1)
-    vec = [Fraction(0)] * sum(r * c for _, r, c in out_layout)
-    L, cols = _d_columns(f.source, f.target, k)
-    for x, col in zip(_flatten(f, layout), cols):
-        if x:
-            for j, y in enumerate(col):
-                if y:
-                    vec[j] += x * y
-    return _unflatten(f.source, f.target, k + 1, out_layout, [v / L for v in vec])
+    x = _flatten(f, _basis_layout(f.source, f.target, k))
+    L, rows, _ = _d_rows(f.source, f.target, k)
+    vec = [sum([y * x[c] for c, y in row.items()], Fraction(0)) / L for row in rows]
+    return _unflatten(f.source, f.target, k + 1, _basis_layout(f.source, f.target, k + 1), vec)
 
 
 def compose(a: HomCochain, b: HomCochain) -> HomCochain:
@@ -352,123 +349,126 @@ def _unflatten(source, target, degree, layout, vec: List[Fraction]) -> HomCochai
     return HomCochain(source, target, degree, comps)
 
 
-def _d_columns(source, target, degree) -> Tuple[int, List[List[int]]]:
-    """L and the images under L*D of the unit vectors of Hom^degree, flattened.
+def _d_rows(source, target, degree, wanted=None) -> Tuple[int, List[Dict[int, int]], int]:
+    """L, the rows of L*D^degree as {column: nonzero int}, and its nonzero column count.
 
-    L is the lcm of the denominators of the differentials D is written from,
-    so L*D is an integer matrix with the kernel and the column space of D.
-    Written entrywise from the differentials: the unit cochain E at
-    (component i, row a, col b) of degree k maps to column a of
-    d_target^(i+k), placed at column b of output component i, minus (-1)^k
-    times row b of d_source^(i-1), placed at row a of output component i-1.
+    L, the lcm of the denominators of the differentials D is written from,
+    makes L*D integral with the kernel and row space of D.  One row per
+    coordinate of Hom^(degree+1) in `wanted` (default: all, in order).  For
+    d_t = d_target, d_s = d_source and k = degree, row (i, a, b) holds
+    d_t^(i+k)[a][x] at input (i, x, b) and -(-1)^k d_s^i[y][b] at input
+    (i+1, a, y).  So column (i, a, b) is zero exactly when column a of
+    d_t^(i+k) and row b of d_s^(i-1) are, which land in different outputs.
     """
     k = degree
-    offset, m = {}, 0
-    for i, r, c in _basis_layout(source, target, k + 1):
-        offset[i], m = m, m + r * c
+    offset, n, layout = {}, 0, _basis_layout(source, target, k)
+    for i, r, c in layout:
+        offset[i], n = n, n + r * c
     blocks = [
-        (i, r, c, target.diff(i + k), source.diff(i - 1))
-        for i, r, c in _basis_layout(source, target, k)
+        (i, r, c, target.diff(i + k), source.diff(i))
+        for i, r, c in _basis_layout(source, target, k + 1)
     ]
-    used = [d for *_, d_t, d_s in blocks for d in (d_t, d_s) if d is not None]
-    L = _den_lcm(x for d in used for row in d.data for x in row)
+    L = _den_lcm(x for *_, t, s in blocks for d in (t, s) if d for row in d.data for x in row)
     L_s = -L if k % 2 == 0 else L  # -(-1)^k L, the factor of d_s
-    cols = []
+    parts, starts, m, na, nb = [], [], 0, {}, {}  # nonzero columns of d_t, rows of d_s
     for i, r, c, d_t, d_s in blocks:
-        t = None if d_t is None else [_scaled(row, L) for row in d_t.data]
-        s = None if d_s is None else [_scaled(row, L_s) for row in d_s.data]
-        for a in range(r):
-            for b in range(c):
-                col = [0] * m
-                if t is not None:  # column a of d_t, down column b of component i
-                    start = offset[i] + b
-                    col[start : start + d_t.rows * c : c] = [row[a] for row in t]
-                if s is not None:  # row b of d_s, along row a of component i-1
-                    start = offset[i - 1] + a * d_s.cols
-                    col[start : start + d_s.cols] = s[b]
-                cols.append(col)
-    return L, cols
+        t = [_scaled(row, L) for row in d_t.data] if d_t else []
+        s = [_scaled(row, L_s) for row in d_s.data] if d_s else []
+        na[i] = sum(1 for col in zip(*t) if any(col))
+        nb[i + 1] = sum(1 for row in s if any(row))
+        # (column, entry) pairs at b = 0 and a = 0: along row a of d_t, down column b of d_s
+        t_pairs = [[(offset[i] + x * c, y) for x, y in enumerate(row) if y] for row in t]
+        s_pairs = [[(offset[i + 1] + y, v) for y, v in enumerate(col) if v] for col in zip(*s)]
+        starts.append(m)
+        parts.append((m, c, t_pairs, len(s), s_pairs))
+        m += r * c
+
+    def row(j: int) -> Dict[int, int]:
+        start, c, t, c_s, s = parts[bisect_right(starts, j) - 1]
+        a, b = divmod(j - start, c)
+        out = {col + b: y for col, y in t[a]} if t else {}
+        if s:
+            out.update({col + a * c_s: v for col, v in s[b]})
+        return out
+
+    nonzero = sum(r * c - (r - na.get(i, 0)) * (c - nb.get(i, 0)) for i, r, c in layout)
+    return L, [row(j) for j in (range(m) if wanted is None else wanted)], nonzero
 
 
-def _echelon(rows: List[List[int]]) -> List[int]:
-    """In-place forward integer elimination; returns the pivot columns.
-
-    Each new row is divided by the gcd of its entries.  Row r ends with its
-    first nonzero entry at pivots[r], each row zero at the pivots of the rows
-    before it, and the rows past them zero.
-    """
-    pivots = []
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    for col in range(n_cols):
-        lead = len(pivots)
-        if lead == n_rows:
-            break
-        pivot_row = next((r for r in range(lead, n_rows) if rows[r][col]), None)
-        if pivot_row is None:
-            continue
-        rows[lead], rows[pivot_row] = rows[pivot_row], rows[lead]
-        top = rows[lead]
-        for r in range(lead + 1, n_rows):
-            if rows[r][col]:
-                rows[r] = _cancel(rows[r], top, col)
-        pivots.append(col)
-    return pivots
-
-
-def _back_substitute(rows: List[List[int]], pivots: List[int]) -> None:
-    """Clear the entries above each pivot of `_echelon`'s rows, in place.
-
-    Rows are replaced, never changed, so a shallow copy of the list is a copy.
-    """
-    for r in range(len(pivots) - 1, 0, -1):
-        p, bottom = pivots[r], rows[r]
-        for above in range(r):
-            if rows[above][p]:
-                rows[above] = _cancel(rows[above], bottom, p)
-
-
-def _rref(rows: List[List[int]]) -> List[int]:
-    """In-place integer Gauss-Jordan elimination; returns the pivot columns.
-
-    `_echelon`, then `_back_substitute`.  Row r ends nonzero at pivots[r] and
-    zero at the other pivots, the rows past them zero; row r over its pivot
-    entry is row r of the one RREF, that of Fractions.
-    """
-    pivots = _echelon(rows)
-    _back_substitute(rows, pivots)
-    return pivots
-
-
-def _cancel(row: List[int], top: List[int], col: int) -> List[int]:
+def _cancel(row: Dict[int, int], top: Dict[int, int], col: int) -> Dict[int, int]:
     """top[col] * row - row[col] * top, zero at col, divided by its gcd."""
-    p, x = top[col], row[col]
-    out = [p * y - x * t for y, t in zip(row, top)]
-    g = gcd(*out)
-    return [y // g for y in out] if g > 1 else out
+    g = gcd(top[col], row[col])
+    p, x = top[col] // g, row[col] // g
+    out = {c: p * y for c, y in row.items()} if p != 1 else dict(row)
+    for c, t in top.items():
+        y = out.get(c, 0) - x * t
+        if y:
+            out[c] = y
+        else:
+            del out[c]
+    g = gcd(*out.values())
+    return {c: y // g for c, y in out.items()} if g > 1 else out
 
 
-def _kernel_basis(rows: List[List[int]], n_cols: int) -> List[List[int]]:
-    """Kernel of the integer matrix with these rows, in ints.
+def _insert(basis: Dict[int, Dict[int, int]], row: Dict[int, int]) -> bool:
+    """Add row to the echelon basis {pivot: row}; False if it reduces to zero.
+
+    The row is reduced at its leading column against the basis row there
+    until its lead is new, where it is kept, or until it is zero.  Basis
+    rows are zero left of their pivots, which are distinct.
+    """
+    while row:
+        lead = min(row)
+        top = basis.get(lead)
+        if top is None:
+            basis[lead] = row
+            return True
+        row = _cancel(row, top, lead)
+    return False
+
+
+def _reduced_basis(rows) -> Dict[int, Dict[int, int]]:
+    """Integer Gauss-Jordan elimination: the RREF rows {pivot: row}, in pivot order.
+
+    Every row is inserted (`_insert`); back substitution then clears the
+    entries above each pivot, from the last pivot up.  A row over its pivot
+    entry is the row of the one RREF, that of Fractions.
+    """
+    basis = {}
+    for row in rows:
+        _insert(basis, row)
+    pivots = sorted(basis)
+    for r in range(len(pivots) - 1, 0, -1):
+        p, bottom = pivots[r], basis[pivots[r]]
+        for above in pivots[:r]:
+            if p in basis[above]:
+                basis[above] = _cancel(basis[above], bottom, p)
+    return {p: basis[p] for p in pivots}
+
+
+def _rank(m: Mat) -> int:
+    """Rank of m, by row insertion of its rows scaled to ints."""
+    L, basis = _den_lcm(x for row in m.data for x in row), {}
+    rows = [{c: y for c, y in enumerate(_scaled(row, L)) if y} for row in m.data]
+    return sum(_insert(basis, row) for row in rows)
+
+
+def _kernel_basis(rows, n_cols: int) -> List[Dict[int, int]]:
+    """Kernel of the integer matrix with these sparse rows, as {column: int}.
 
     One vector per free column of its RREF: den * v, where v is 1 at the free
     column and -row[free] / row[pivot] at each pivot, and den > 0 is the lcm
     of the pivot entries it reads.  RREF rows are zero left of their pivots,
     so den, at the free column, is the vector's last nonzero entry.
     """
-    pivots = _rref(rows)
-    basis = []
+    basis = _reduced_basis(rows)
+    kernel = []
     for free in range(n_cols):
-        if free in pivots:
-            continue
-        reads = [(row, p) for row, p in zip(rows, pivots) if row[free]]
-        den = lcm(*[row[p] for row, p in reads])  # a list, as in plane._den_lcm
-        vec = [0] * n_cols
-        vec[free] = den
-        for row, p in reads:
-            vec[p] = -row[free] * (den // row[p])
-        basis.append(vec)
-    return basis
+        if free not in basis:
+            reads = [(p, row) for p, row in basis.items() if free in row]
+            den = lcm(*[row[p] for p, row in reads])
+            kernel.append({**{p: -row[free] * (den // row[p]) for p, row in reads}, free: den})
+    return kernel
 
 
 class CohomologyGroup:
@@ -476,15 +476,13 @@ class CohomologyGroup:
 
     `reps` are cocycles whose classes form a basis of the group, `cocycles` a
     basis of ker D^degree, and `coboundaries` the nonzero RREF rows of
-    im D^(degree-1); each is a list of HomCochains.  `cocycles` and
-    `coboundaries` are given as lists, or as functions that build them: a
-    group from `cohomology` holds only `reps` built, and builds each of the
-    other two from the integer rows it keeps on first access, once.
+    im D^(degree-1); each is a list of HomCochains.  The last two are given
+    as functions that build them, each called on first access, once.
     """
 
     __slots__ = ("degree", "dim", "ker_dim", "im_dim", "reps", "_cocycles", "_coboundaries")
 
-    def __init__(self, degree, dim, ker_dim, im_dim, reps, cocycles=None, coboundaries=None):
+    def __init__(self, degree, dim, ker_dim, im_dim, reps, cocycles, coboundaries):
         self.degree = degree
         self.dim = dim
         self.ker_dim = ker_dim
@@ -493,17 +491,15 @@ class CohomologyGroup:
         self._cocycles = cocycles
         self._coboundaries = coboundaries
 
-    @property
-    def cocycles(self) -> list:
-        if callable(self._cocycles):
-            self._cocycles = self._cocycles()
-        return self._cocycles
+    def _built(self, name: str) -> list:
+        got = getattr(self, name)
+        if callable(got):  # the builder, called on first access
+            got = got()
+            setattr(self, name, got)
+        return got
 
-    @property
-    def coboundaries(self) -> list:
-        if callable(self._coboundaries):
-            self._coboundaries = self._coboundaries()
-        return self._coboundaries
+    cocycles = property(lambda self: self._built("_cocycles"))
+    coboundaries = property(lambda self: self._built("_coboundaries"))
 
     def _fields(self) -> tuple:
         return (self.degree, self.dim, self.ker_dim, self.im_dim,
@@ -527,57 +523,59 @@ class CohomologyGroup:
 def cohomology(source: MatrixComplex, target: MatrixComplex, degree: int) -> CohomologyGroup:
     """ker D^degree / im D^(degree-1), exactly, with cocycle witnesses.
 
-    Both D are the integer L*D of `_d_columns`.  D^degree goes to its RREF
-    for the kernel basis.  Kernel vector j is den_j at its free column, its
-    last nonzero entry, and zero at the other free columns, so a cocycle is
-    fixed by its entries at the free columns.  Every column of D^(degree-1)
-    is a cocycle (d o d = 0), so the image is eliminated forward only
-    (`_echelon`) on those entries alone, taken in reverse column order.
-    The representatives are the first cocycles, in order, independent of
-    the image and of the ones before: the kernel vectors whose free column
-    is not the last nonzero entry of an echelon row, nor that of a
-    representative before them.  Only the representatives become cochains
-    here; the group builds the cocycles, and the coboundaries from the RREF
-    of a copy of the image's columns, when they are first read.
+    D is the sparse integer rows of `_d_rows`.  The kernel basis comes from
+    the RREF of D^degree: vector j is den_j at its free column, its last
+    nonzero entry, and zero at the other free columns, so a cocycle is fixed
+    by its entries there.  The image lies in the kernel (d o d = 0), so only
+    the rows of D^(degree-1) at the free coordinates are built, and inserted
+    in descending free order: the image takes coordinate f when its row is
+    independent of those before.  The representatives are the kernel
+    vectors, in order, whose free column is not taken.  The dimension must
+    equal the Kunneth sum.  Only the representatives become cochains here;
+    the group builds the cocycles, and the coboundaries from the RREF of the
+    transposed rows of D^(degree-1), when they are first read.
     """
     degree = _degree(degree)
     layout = _basis_layout(source, target, degree)
     n = sum(r * c for _, r, c in layout)
-    kernel = _kernel_basis(list(zip(*_d_columns(source, target, degree)[1])), n)
-    free = [n - 1 - next(i for i, y in enumerate(reversed(v)) if y) for v in kernel]
-    image = _d_columns(source, target, degree - 1)[1]
-    projected = [[col[f] for f in reversed(free)] for col in image]
-    # a cocycle zero at every free column is zero
-    if any(any(col) and not any(row) for col, row in zip(image, projected)):
+    kernel = _kernel_basis(_d_rows(source, target, degree)[1], n)
+    free = [max(v) for v in kernel]
+    _, image, nonzero = _d_rows(source, target, degree - 1, free[::-1])
+    # a nonzero column that no free row reads would be a cocycle zero at every free column
+    if len({c for row in image for c in row}) != nonzero:
         raise InvariantError(f"degree {degree}: a coboundary is not a cocycle")
-    pivots = _echelon(projected)
-    taken = {free[-1 - p] for p in pivots}
+    basis = {}
+    taken = {f for f, row in zip(free[::-1], image) if _insert(basis, row)}
     reps = []
     for vec, f in zip(kernel, free):
         if f not in taken:
             taken.add(f)
             reps.append(vec)
-    dim = len(kernel) - len(pivots)
+    dim = len(kernel) - len(basis)
     if len(reps) != dim:
         raise InvariantError(f"degree {degree}: {len(reps)} representatives, dimension {dim}")
+    kunneth = sum(source.h[i] * target.h[i + degree] for i, _, _ in layout)
+    if dim != kunneth:
+        raise InvariantError(f"degree {degree}: dimension {dim}, Kunneth sum {kunneth}")
 
-    def cochains(vecs, dens):  # each integer vector over its den, as Fractions
+    def cochains(pairs):  # each integer vector over its den, as Fractions
         zero = Fraction(0)
-        return [
-            _unflatten(source, target, degree, layout, [Fraction(y, d) if y else zero for y in v])
-            for v, d in zip(vecs, dens)
-        ]
+        dense = [[Fraction(v[j], d) if j in v else zero for j in range(n)] for v, d in pairs]
+        return [_unflatten(source, target, degree, layout, v) for v in dense]
 
     def cocycles(vecs):  # a kernel vector over its last nonzero entry
-        return cochains(vecs, [next(y for y in reversed(v) if y) for v in vecs])
+        return cochains((v, v[max(v)]) for v in vecs)
 
-    def coboundaries():
-        rows = image[:]
-        pivots = _rref(rows)
-        return cochains(rows[: len(pivots)], [row[p] for p, row in zip(pivots, rows)])
+    def coboundaries():  # the RREF of the columns of D^(degree-1)
+        cols = {}
+        for j, row in enumerate(_d_rows(source, target, degree - 1)[1]):
+            for c, y in row.items():
+                cols.setdefault(c, {})[j] = y
+        rref = _reduced_basis(cols.values())
+        return cochains((row, row[p]) for p, row in rref.items())
 
     return CohomologyGroup(
-        degree, dim, len(kernel), len(pivots), cocycles(reps),
+        degree, dim, len(kernel), len(basis), cocycles(reps),
         lambda: cocycles(kernel), coboundaries,
     )
 

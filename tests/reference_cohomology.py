@@ -8,7 +8,7 @@ the image plus one more kernel vector again for every kernel vector.
 cochain at a time, and ``_rref`` eliminates in Fractions, as both stood
 before D was written entrywise and elimination ran in integers.
 Tests compare the production ``cohomology``, ``hom_differential`` and
-``_rref`` against this copy.
+integer RREF (``_reduced_basis``) against this copy.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def cohomology(source: MatrixComplex, target: MatrixComplex, degree: int) -> Coh
     layout = _basis_layout(source, target, degree)
     n = sum(r * c for _, r, c in layout)
     if n == 0:
-        return CohomologyGroup(degree, 0, 0, 0, [], [], [])
+        return CohomologyGroup(degree, 0, 0, 0, [], lambda: [], lambda: [])
 
     def _d_columns(from_degree):
         """Images of the standard basis of Hom^from_degree under D."""
@@ -180,5 +180,5 @@ def cohomology(source: MatrixComplex, target: MatrixComplex, degree: int) -> Coh
     if len(reps) != group_dim:
         raise InvariantError(f"degree {degree}: {len(reps)} representatives, dimension {group_dim}")
     return CohomologyGroup(
-        degree, group_dim, ker_dim, im_dim, reps, cocycle_basis, coboundary_basis
+        degree, group_dim, ker_dim, im_dim, reps, lambda: cocycle_basis, lambda: coboundary_basis
     )

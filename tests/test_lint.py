@@ -221,7 +221,8 @@ def test_floats_only_in_display_code():
 
 def test_one_hom_differential_formula():
     # D is written out from the complexes' differentials only in
-    # traces._d_columns; hom_differential sums the columns it returns
+    # traces._d_rows; hom_differential multiplies the rows it returns, and
+    # cohomology eliminates them
     diff_calls = sorted(
         {
             (name, func)
@@ -231,13 +232,13 @@ def test_one_hom_differential_formula():
             and node.func.attr == "diff"
         }
     )
-    assert diff_calls == [("traces.py", "_d_columns")]
-    d_columns_callers = {
+    assert diff_calls == [("traces.py", "_d_rows")]
+    d_rows_callers = {
         (name, func)
         for name, func, node in _nodes()
-        if isinstance(node, ast.Call) and _callee(node) == "_d_columns"
+        if isinstance(node, ast.Call) and _callee(node) == "_d_rows"
     }
-    assert ("traces.py", "hom_differential") in d_columns_callers
+    assert {("traces.py", "hom_differential"), ("traces.py", "cohomology")} <= d_rows_callers
 
 
 def _top_level_calls():
@@ -283,7 +284,7 @@ def test_trusted_rows_enter_mat_once():
         (func, _callee(node))
         for name, func, node in _nodes()
         if name == "traces.py"
-        and func in ("cohomology", "_rref", "_echelon", "_back_substitute", "_kernel_basis")
+        and func in ("cohomology", "_reduced_basis", "_insert", "_cancel", "_kernel_basis", "_rank")
         and isinstance(node, ast.Call)
         and _callee(node) in ("parse_frac", "Mat")
     )
@@ -291,15 +292,27 @@ def test_trusted_rows_enter_mat_once():
 
 
 def test_one_elimination_routine():
-    # every integer row operation is _cancel inside the forward pass or the
-    # back pass; cohomology picks its representatives by pivots, not by
-    # reducing rows of its own
+    # every integer row operation is _cancel inside the row insertion or the
+    # back substitution; the kernel, the image test and the ranks of the
+    # differentials all go through _insert, not through rows of their own
     callers = {
         (name, func)
         for name, func, node in _top_level_calls()
         if _callee(node) == "_cancel"
     }
-    assert callers == {("traces.py", "_echelon"), ("traces.py", "_back_substitute")}
+    assert callers == {("traces.py", "_insert"), ("traces.py", "_reduced_basis")}
+    inserters = {
+        (name, func)
+        for name, func, node in _top_level_calls()
+        if _callee(node) == "_insert"
+    }
+    assert inserters == {
+        ("traces.py", "_reduced_basis"),
+        ("traces.py", "_rank"),
+        ("traces.py", "cohomology"),
+    }
+    defs = {node.name for name, _, node in _nodes() if isinstance(node, ast.FunctionDef)}
+    assert not defs & {"_d_columns", "_echelon", "_back_substitute", "_rref"}
 
 
 def test_one_integer_wall_decision():

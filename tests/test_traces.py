@@ -329,6 +329,47 @@ def test_cohomology_euler_characteristic_fuzz():
         assert hom_sum == chi_s * chi_t
 
 
+def test_cohomology_dimensions_against_kunneth():
+    # a sympy-free dimension oracle: h^i of each complex from the ranks of its
+    # differentials, eliminated in Fractions by the reference copy; then in
+    # every degree dim H^k(Hom(S, T)) = sum_i h^i(S) h^(i+k)(T), and
+    # rank D^k = dim Hom^k - dim H^k - rank D^(k-1) fixes ker_dim and im_dim
+    import reference_cohomology as ref
+
+    rng = random.Random(24)
+    for _ in range(40):
+        A, B = random_complex(rng), random_complex(rng)
+        for C in (A, B):
+            ranks = [0, *(len(ref._rref([list(r) for r in d.data])) for d in C.diffs), 0]
+            assert C.h == tuple(n - ranks[i] - ranks[i + 1] for i, n in enumerate(C.dims))
+        for S, T in ((A, A), (A, B), (B, A)):
+            rank_prev = 0
+            for k in range(-len(S.dims), len(T.dims) + 1):
+                spots = range(max(0, -k), min(len(S.dims), len(T.dims) - k))
+                want = sum(S.h[i] * T.h[i + k] for i in spots)
+                g = cohomology(S, T, k)
+                assert (g.dim, g.ker_dim, g.im_dim) == (want, want + rank_prev, rank_prev), k
+                rank_prev = _hom_dim(S, T, k) - want - rank_prev
+            assert rank_prev == 0
+
+
+def test_cohomology_kunneth_check_raises(monkeypatch):
+    # a kernel basis one vector short still has as many representatives as
+    # its dimension says; the Kunneth sum, from the ranks of the complexes'
+    # own differentials, refuses it, and so it refuses wrong ranks
+    import walland.traces as traces
+
+    real = traces._kernel_basis
+    monkeypatch.setattr(traces, "_kernel_basis", lambda *args: real(*args)[:-1])
+    with pytest.raises(InvariantError, match="degree 0: dimension 1, Kunneth sum 2"):
+        cohomology(two_term(0), two_term(0), 0)
+    monkeypatch.undo()
+    monkeypatch.setattr(traces, "_rank", lambda m: 0)
+    C = two_term(1)  # h = (1, 1) now, though the cohomology is zero
+    with pytest.raises(InvariantError, match="degree 0: dimension 0, Kunneth sum 2"):
+        cohomology(C, C, 0)
+
+
 def test_random_complex_respects_bounds():
     rng = random.Random(22)
     for _ in range(200):
