@@ -135,9 +135,15 @@ class Mat:
 
 
 class MatrixComplex:
-    """Terms in degrees 0..n-1 with differentials raising degree by one; h[i] = dim H^i."""
+    """Terms in degrees 0..n-1 with differentials raising degree by one; h[i] = dim H^i.
 
-    __slots__ = ("dims", "diffs", "h")
+    Each d^i is read in integers here, once, into `_ints[i]`: L_i, the lcm of
+    its denominators, the nonzero (column, entry) pairs of L_i*d^i along each
+    row and (row, entry) pairs down each column, and its numbers of nonzero
+    rows and columns.  `_rank` ranks that form and `_d_rows` writes D from it.
+    """
+
+    __slots__ = ("dims", "diffs", "h", "_ints")
 
     def __init__(self, dims, diffs):
         dims = tuple(dims)
@@ -147,6 +153,8 @@ class MatrixComplex:
         if len(diffs) != len(dims) - 1:
             raise DimensionMismatch("complex needs one differential per adjacent pair")
         for i, d in enumerate(diffs):
+            if not isinstance(d, Mat):
+                raise DimensionMismatch(f"differential {i} is a {type(d).__name__}, not a Mat")
             if d.shape != (dims[i + 1], dims[i]):
                 raise DimensionMismatch(
                     f"differential {i} has shape {d.shape}, wanted"
@@ -157,7 +165,14 @@ class MatrixComplex:
                 raise PreconditionError("differentials do not square to zero")
         self.dims = dims
         self.diffs = diffs
-        ranks = [0, *map(_rank, diffs), 0]
+        self._ints = {}
+        for i, d in enumerate(diffs):
+            L = _den_lcm(x for row in d.data for x in row)
+            rows = [_scaled(row, L) for row in d.data]
+            along = [[(x, y) for x, y in enumerate(row) if y] for row in rows]
+            down = [[(a, row[b]) for a, row in enumerate(rows) if row[b]] for b in range(d.cols)]
+            self._ints[i] = (L, along, down, sum(map(bool, along)), sum(map(bool, down)))
+        ranks = [0, *map(_rank, self._ints.values()), 0]
         self.h = tuple(d - ranks[i] - ranks[i + 1] for i, d in enumerate(dims))
 
     def __len__(self):
@@ -204,6 +219,9 @@ class HomCochain:
         self.source = source
         self.target = target
         self.degree = _degree(degree)
+        for i, m in comps.items():
+            if not isinstance(m, Mat):
+                raise DimensionMismatch(f"component {i} is a {type(m).__name__}, not a Mat")
         filled: Dict[int, Mat] = {}
         for i, r, c in _basis_layout(source, target, self.degree):
             got = comps.get(i)
@@ -352,35 +370,36 @@ def _unflatten(source, target, degree, layout, vec: List[Fraction]) -> HomCochai
 def _d_rows(source, target, degree, wanted=None) -> Tuple[int, List[Dict[int, int]], int]:
     """L, the rows of L*D^degree as {column: nonzero int}, and its nonzero column count.
 
-    L, the lcm of the denominators of the differentials D is written from,
-    makes L*D integral with the kernel and row space of D.  One row per
-    coordinate of Hom^(degree+1) in `wanted` (default: all, in order).  For
-    d_t = d_target, d_s = d_source and k = degree, row (i, a, b) holds
-    d_t^(i+k)[a][x] at input (i, x, b) and -(-1)^k d_s^i[y][b] at input
-    (i+1, a, y).  So column (i, a, b) is zero exactly when column a of
-    d_t^(i+k) and row b of d_s^(i-1) are, which land in different outputs.
+    D is written from the integer forms `_ints` the complexes made of their
+    differentials: L is the lcm of the L_i of the forms it uses, and each
+    block L_i*d^i is multiplied by L // L_i, so L*D is integral with the
+    kernel and row space of D.  One row per coordinate of Hom^(degree+1) in
+    `wanted` (default: all, in order).  For d_t = d_target, d_s = d_source
+    and k = degree, row (i, a, b) holds d_t^(i+k)[a][x] at input (i, x, b)
+    and -(-1)^k d_s^i[y][b] at input (i+1, a, y).  So column (i, a, b) is
+    zero exactly when column a of d_t^(i+k) and row b of d_s^(i-1) are,
+    which land in different outputs.
     """
     k = degree
     offset, n, layout = {}, 0, _basis_layout(source, target, k)
     for i, r, c in layout:
         offset[i], n = n, n + r * c
     blocks = [
-        (i, r, c, target.diff(i + k), source.diff(i))
+        (i, r, c, target._ints.get(i + k), source._ints.get(i))
         for i, r, c in _basis_layout(source, target, k + 1)
     ]
-    L = _den_lcm(x for *_, t, s in blocks for d in (t, s) if d for row in d.data for x in row)
-    L_s = -L if k % 2 == 0 else L  # -(-1)^k L, the factor of d_s
+    L = lcm(*[d[0] for *_, t, s in blocks for d in (t, s) if d])
+    sign = -1 if k % 2 == 0 else 1  # -(-1)^k, the sign of d_s
     parts, starts, m, na, nb = [], [], 0, {}, {}  # nonzero columns of d_t, rows of d_s
     for i, r, c, d_t, d_s in blocks:
-        t = [_scaled(row, L) for row in d_t.data] if d_t else []
-        s = [_scaled(row, L_s) for row in d_s.data] if d_s else []
-        na[i] = sum(1 for col in zip(*t) if any(col))
-        nb[i + 1] = sum(1 for row in s if any(row))
+        L_t, along_t, _, _, na[i] = d_t or (1, (), (), 0, 0)  # a missing d is the empty form
+        L_s, along_s, down_s, nb[i + 1], _ = d_s or (1, (), (), 0, 0)
+        f_t, f_s = L // L_t, sign * (L // L_s)
         # (column, entry) pairs at b = 0 and a = 0: along row a of d_t, down column b of d_s
-        t_pairs = [[(offset[i] + x * c, y) for x, y in enumerate(row) if y] for row in t]
-        s_pairs = [[(offset[i + 1] + y, v) for y, v in enumerate(col) if v] for col in zip(*s)]
+        t = [[(offset[i] + x * c, y * f_t) for x, y in pairs] for pairs in along_t]
+        s = [[(offset[i + 1] + y, v * f_s) for y, v in pairs] for pairs in down_s]
         starts.append(m)
-        parts.append((m, c, t_pairs, len(s), s_pairs))
+        parts.append((m, c, t, len(along_s), s))
         m += r * c
 
     def row(j: int) -> Dict[int, int]:
@@ -446,11 +465,10 @@ def _reduced_basis(rows) -> Dict[int, Dict[int, int]]:
     return {p: basis[p] for p in pivots}
 
 
-def _rank(m: Mat) -> int:
-    """Rank of m, by row insertion of its rows scaled to ints."""
-    L, basis = _den_lcm(x for row in m.data for x in row), {}
-    rows = [{c: y for c, y in enumerate(_scaled(row, L)) if y} for row in m.data]
-    return sum(_insert(basis, row) for row in rows)
+def _rank(form) -> int:
+    """Rank of a differential, by row insertion of the rows of its integer form."""
+    basis = {}
+    return sum(_insert(basis, dict(pairs)) for pairs in form[1])
 
 
 def _kernel_basis(rows, n_cols: int) -> List[Dict[int, int]]:
@@ -461,11 +479,14 @@ def _kernel_basis(rows, n_cols: int) -> List[Dict[int, int]]:
     of the pivot entries it reads.  RREF rows are zero left of their pivots,
     so den, at the free column, is the vector's last nonzero entry.
     """
-    basis = _reduced_basis(rows)
+    basis, index = _reduced_basis(rows), {}
+    for p, row in basis.items():  # in pivot order
+        for c in row:
+            index.setdefault(c, []).append((p, row))
     kernel = []
     for free in range(n_cols):
         if free not in basis:
-            reads = [(p, row) for p, row in basis.items() if free in row]
+            reads = index.get(free, [])
             den = lcm(*[row[p] for p, row in reads])
             kernel.append({**{p: -row[free] * (den // row[p]) for p, row in reads}, free: den})
     return kernel
@@ -542,7 +563,7 @@ def cohomology(source: MatrixComplex, target: MatrixComplex, degree: int) -> Coh
     free = [max(v) for v in kernel]
     _, image, nonzero = _d_rows(source, target, degree - 1, free[::-1])
     # a nonzero column that no free row reads would be a cocycle zero at every free column
-    if len({c for row in image for c in row}) != nonzero:
+    if len(set().union(*image)) != nonzero:
         raise InvariantError(f"degree {degree}: a coboundary is not a cocycle")
     basis = {}
     taken = {f for f, row in zip(free[::-1], image) if _insert(basis, row)}

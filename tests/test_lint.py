@@ -220,19 +220,35 @@ def test_floats_only_in_display_code():
 
 
 def test_one_hom_differential_formula():
-    # D is written out from the complexes' differentials only in
-    # traces._d_rows; hom_differential multiplies the rows it returns, and
+    # each complex reads its differentials in integers once, into _ints in
+    # MatrixComplex.__init__; D is written out from those integer forms only
+    # in traces._d_rows; hom_differential multiplies the rows it returns, and
     # cohomology eliminates them
-    diff_calls = sorted(
-        {
-            (name, func)
-            for name, func, node in _nodes()
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "diff"
-        }
-    )
-    assert diff_calls == [("traces.py", "_d_rows")]
+    int_form = {
+        (name, func, type(node.ctx).__name__)
+        for name, func, node in _top_level_nodes()
+        if isinstance(node, ast.Attribute) and node.attr == "_ints"
+    }
+    assert int_form == {
+        ("traces.py", "MatrixComplex.__init__", "Store"),
+        ("traces.py", "MatrixComplex.__init__", "Load"),
+        ("traces.py", "_d_rows", "Load"),
+    }
+    scalers = {
+        (name, func)
+        for name, func, node in _top_level_nodes()
+        if name == "traces.py" and isinstance(node, ast.Call)
+        and _callee(node) in ("_den_lcm", "_scaled")
+    }
+    assert scalers == {("traces.py", "MatrixComplex.__init__")}
+    diff_calls = {
+        (name, func)
+        for name, func, node in _nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "diff"
+    }
+    assert diff_calls == set()
     d_rows_callers = {
         (name, func)
         for name, func, node in _nodes()
@@ -241,10 +257,10 @@ def test_one_hom_differential_formula():
     assert {("traces.py", "hom_differential"), ("traces.py", "cohomology")} <= d_rows_callers
 
 
-def _top_level_calls():
-    """(file name, qualified name, call node) over the package.
+def _top_level_nodes():
+    """(file name, qualified name, node) over the package.
 
-    A method is named Class.method, and a call in a nested function counts
+    A method is named Class.method, and a node in a nested function counts
     for the module-level function or method around it.
     """
     for path in sorted(SRC.glob("*.py")):
@@ -258,8 +274,12 @@ def _top_level_calls():
                 scopes.append((name, node))
         for qualname, scope in scopes:
             for node in ast.walk(scope):
-                if isinstance(node, ast.Call):
-                    yield path.name, qualname, node
+                yield path.name, qualname, node
+
+
+def _top_level_calls():
+    """(file name, qualified name, call node) over the package, as in _top_level_nodes."""
+    return ((n, q, node) for n, q, node in _top_level_nodes() if isinstance(node, ast.Call))
 
 
 def test_trusted_rows_enter_mat_once():

@@ -69,6 +69,16 @@ def test_shapes_and_degrees_must_be_ints():
     assert Mat(1, 1, [[1]]).shape == (1, 1)
 
 
+def test_non_mat_differential_or_component_is_refused():
+    # a list of rows is no Mat: refused with the type named, not an AttributeError
+    with pytest.raises(DimensionMismatch, match="differential 0 is a list, not a Mat"):
+        MatrixComplex((1, 1), ([[1]],))
+    C = two_term(1)
+    with pytest.raises(DimensionMismatch, match="component 0 is a list, not a Mat"):
+        HomCochain(C, C, 0, {0: [[1]]})
+    with pytest.raises(DimensionMismatch, match="component 5 is a list, not a Mat"):
+        HomCochain(C, C, 0, {5: [[0]]})  # outside the support too
+
 def test_mat_arithmetic():
     a = Mat.make([[1, 2], [3, 4]])
     b = Mat.make([[0, 1], [1, 0]])
@@ -369,6 +379,38 @@ def test_cohomology_kunneth_check_raises(monkeypatch):
     with pytest.raises(InvariantError, match="degree 0: dimension 0, Kunneth sum 2"):
         cohomology(C, C, 0)
 
+
+
+def test_differentials_are_read_in_integers_once(monkeypatch):
+    # the constructor reads each rational differential into integers; after
+    # that cohomology in every degree, hom_differential and the lazy witnesses
+    # read no Fraction denominators again
+    import walland.traces as traces
+
+    d0, d1 = Mat.make([[F(1, 2)], [F(1, 3)], [0]]), Mat.make([[F(2, 3), -1, F(1, 4)]])
+    C = MatrixComplex((1, 3, 1), (d0, d1))  # h = (0, 1, 0)
+    B = two_term(F(5, 7))
+    pairs = [(C, C, k) for k in range(-2, 3)] + [(C, B, k) for k in range(-2, 2)]
+    rng = random.Random(25)
+    cochains = [random_cochain(rng, S, T, k) for S, T, k in pairs]
+
+    def run():
+        groups = [cohomology(S, T, k) for S, T, k in pairs]
+        return groups, [g.cocycles for g in groups], [g.coboundaries for g in groups], [
+            hom_differential(f) for f in cochains
+        ]
+
+    want = run()
+    assert any(g.dim for g in want[0]) and not all(f.is_zero for f in want[3])
+
+    def refuse(*args):
+        raise AssertionError("a differential read from Fractions again")
+
+    monkeypatch.setattr(traces, "_den_lcm", refuse)
+    monkeypatch.setattr(traces, "_scaled", refuse)
+    assert run() == want
+    with pytest.raises(AssertionError, match="read from Fractions again"):
+        two_term(F(1, 2))  # the patch reaches the one reading, in the constructor
 
 def test_random_complex_respects_bounds():
     rng = random.Random(22)
