@@ -256,8 +256,10 @@ class CandidateWall:
 
 
 # Steps one enumeration may take, counting (rank, c1) pairs and witnesses
-# apart: the corpora need about 10^4 at most, and a huge character, region
-# or bound could need more than any run can finish.
+# apart: the corpora need about 10^4 at most (a public scan; a split scan
+# charges only the k inside its discriminant window, at most 86 on the
+# criterion-2 walks), and a huge character, region or bound could need more
+# than any run can finish.
 _SCAN_LIMIT = 10**6
 
 
@@ -337,12 +339,27 @@ def enumerate_candidate_walls(
     the segment, so per rank the W1 for which some point of it gives the
     three one strict sign form at most two integer ranges
     (_split_w1_ranges).  The split rule scans only the c1 classes inside
-    them, and the vertical classes, and skips the rest outright.  A
-    character with v1^2 - 2*v0*v2 = 0 has no split at all (see below).
+    them, and the vertical classes, and skips the rest outright.
     The rule is exact: a transversal wall meets the segment in R alone,
     the public rule's meet, and 0 < n*d < d^2 implies n != 0 and
     n^2 < d^2, so the split rule keeps exactly the public rule's witnesses
     that the walk splits along.  Each returned wall carries its crossing.
+
+    The split rule also confines k to the discriminant window
+    0 <= Q(w), Q(u) < Q(v), with Q(x) = x1^2 - 2*x0*x2 and u = v - w.  At a
+    kept crossing R, strictly above the parabola, Z_R(w) = lam*Z_R(v) with
+    0 < lam < 1, so w = lam*v + mu*e, where e = (1, s, q) spans ker Z_R and
+    Q(e) = s^2 - 2*q < 0.  Then
+
+        Q(w)/lam + Q(u)/(1 - lam) = Q(v) + mu^2*Q(e)/(lam*(1 - lam)),
+
+    which is < Q(v), as mu != 0: a w proportional to v has no wall.  With
+    Q(w), Q(u) >= 0 (Bogomolov) this gives Q(w) < lam*Q(v) < Q(v), and
+    likewise Q(u) < Q(v).  M^2*Q(w) and M^2*Q(u) are affine in k, so each
+    part adds one // to the k bounds, or where its rank is 0 a test of the
+    pair.  A v with Q(v) = 0 therefore has no split: its window is empty.
+    The public rule allows ratios in (-1, 1), where the identity bounds
+    nothing, so it scans no window.
 
     The scan runs in ints: M, the lcm of the denominators of v and of the
     lattice's scan_constants, makes M*w integral for every witness w, so
@@ -352,7 +369,8 @@ def enumerate_candidate_walls(
     A kept wall is _wall_coeffs of M*v and M*w, the formula of wall_of, and
     the returned witnesses hold one Fraction(x, M) per distinct int x.
     PreconditionError is raised when the bounds allow more than _SCAN_LIMIT
-    (rank, c1) pairs, or survivors counted per c1 vector would pass it.
+    (rank, c1) pairs, or when the k left by the k bounds (the window
+    included) and _pencil_ks, counted per c1 vector, would pass it.
     """
     bounds = EnumerationBounds(rank_bound, c1_bound)
     if v.is_zero:
@@ -367,16 +385,7 @@ def enumerate_candidate_walls(
     H2, half_DD = H2 * f, half_DD * f
     classes = [(w1 * f, c_base * f, n) for w1, c_base, n in classes]
     V = V0, V1, V2 = _scaled(v.as_tuple(), M)
-    if split and V1 * V1 == 2 * V0 * V2:
-        # No split of a v with Q(v) = v1^2 - 2*v0*v2 = 0.  Q is negative on
-        # ker Z_R = span(1, s, q) at any R above the parabola, as
-        # Q(1, s, q) = s^2 - 2*q < 0.  A split w + u = v kept at R has
-        # Z_R(w) = lam*Z_R(u) with lam > 0, so w - lam*u lies in ker Z_R, and
-        # Q(w), Q(u) >= 0 by the Bogomolov bounds on k.  Unless w and u are
-        # proportional, when no wall crosses strictly, Q(w - lam*u) < 0 gives
-        # 2*lam*<w, u> > Q(w) + lam^2*Q(u) >= 0, so
-        # Q(v) = Q(w) + Q(u) + 2*<w, u> > 0.
-        return []
+    QV = V1 * V1 - 2 * V0 * V2  # M^2 * Q(v)
     m = ring[0][0]
     qs = [q for _, _, q in ring]
     # m*M times the max of |Re Z(v)| over the region: linear, so corners suffice
@@ -419,16 +428,30 @@ def enumerate_candidate_walls(
             B = c_base + r_base
             k_lo = -((m * B - env_lo) // (m * M))
             k_hi = (env_hi - m * B) // (m * M)
-            # Bogomolov constraints are linear in k once w0, u0 are fixed
-            if W0 > 0:
-                k_hi = min(k_hi, (W1 * W1 - 2 * W0 * B) // (2 * W0 * M))
-            elif W0 < 0:
-                k_lo = max(k_lo, -((2 * W0 * B - W1 * W1) // (2 * W0 * M)))
+            # M^2*Q(w) = qw - 2*W0*M*k and M^2*Q(u) = qu + 2*U0*M*k: Bogomolov
+            # keeps both >= 0, and the split rule's window keeps both < QV
             U0, U1 = V0 - W0, V1 - W1
+            qw, qu = W1 * W1 - 2 * W0 * B, U1 * U1 - 2 * U0 * (V2 - B)
+            if W0 > 0:
+                k_hi = min(k_hi, qw // (2 * W0 * M))
+                if split:
+                    k_lo = max(k_lo, (qw - QV) // (2 * W0 * M) + 1)
+            elif W0 < 0:
+                k_lo = max(k_lo, -((-qw) // (2 * W0 * M)))
+                if split:
+                    k_hi = min(k_hi, -((QV - qw) // (2 * W0 * M)) - 1)
+            elif split and qw >= QV:
+                continue
             if U0 > 0:
-                k_lo = max(k_lo, -((U1 * U1 - 2 * U0 * (V2 - B)) // (2 * U0 * M)))
+                k_lo = max(k_lo, -(qu // (2 * U0 * M)))
+                if split:
+                    k_hi = min(k_hi, -((qu - QV) // (2 * U0 * M)) - 1)
             elif U0 < 0:
-                k_hi = min(k_hi, (2 * U0 * (V2 - B) - U1 * U1) // (2 * U0 * M))
+                k_hi = min(k_hi, (-qu) // (2 * U0 * M))
+                if split:
+                    k_lo = max(k_lo, (QV - qu) // (2 * U0 * M) + 1)
+            elif split and qu >= QV:
+                continue
             if k_lo > k_hi:
                 continue
             forms = [(W0 * n0 + W1 * n1 + B * n2, M * n2) for n0, n1, n2 in normals]

@@ -232,6 +232,46 @@ def test_split_rule_matches_reference_walk_filter(name, p2, product_surface):
     assert kept > 0
 
 
+@pytest.mark.parametrize(
+    "name", ["p2", "p1xp1_twisted", "k3_quartic"] + sorted(ODD_SCALE)
+)
+def test_split_rule_window_on_small_discriminants(name, p2, product_surface, quartic):
+    # 0 < Q(v) <= 8, where the window 0 <= Q(w), Q(u) < Q(v) is thinnest.
+    # Draws go on until four splits are kept (at most 60 draws), and some
+    # kept part has rank zero, so the pair test W1^2 < QV (W0 = 0) or
+    # U1^2 < QV (U0 = 0) passes a kept split
+    lattices = {"p2": p2, "p1xp1_twisted": product_surface, "k3_quartic": quartic}
+    L = lattices.get(name) or SurfaceLattice.from_dict(ODD_SCALE[name])
+    bounds = (3, 5) if L.rank == 1 else (1, 2)
+    rng = random.Random(3106)
+    kept, outside, rank_zero, draws = [], 0, False, 0
+    while len(kept) < 4 and draws < 60:
+        v = _rand_split_char(rng, L, False)
+        if not 0 < discriminant(v) <= 8:
+            continue
+        draws += 1
+        P, Q = SP(*_rand_point(rng)), SP(*_rand_point(rng))
+        for t0 in (F(0), F(rng.randint(1, 6), 7)):
+            start = segment_point(P, Q, t0)
+            got = enumerate_candidate_walls(v, SegmentRegion(start, Q), *bounds, L, split=True)
+            public = ref.enumerate_candidate_walls(v, ref.SegmentRegion(start, Q), *bounds, L)
+            assert [(cw.wall.coeffs, cw.witnesses, cw.crossing) for cw in got] == (
+                ref.walk_filter(v, start, Q, public)
+            ), (v, start, Q)
+            Qv = discriminant(v)
+            for cw in got:
+                for w in cw.witnesses:
+                    assert 0 <= discriminant(w) < Qv and 0 <= discriminant(v - w) < Qv
+                    kept.append(w)
+                    rank_zero |= w.v0 == 0 or w.v0 == v.v0
+            outside += sum(
+                max(discriminant(w), discriminant(v - w)) >= Qv
+                for cw in public
+                for w in cw.witnesses
+            )
+    assert kept and rank_zero and outside > 0
+
+
 def _meet(pts):
     # the old segment clip reports a degenerate segment as a span of one point
     if pts is None:

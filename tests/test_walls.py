@@ -415,8 +415,9 @@ def _rand_q_zero_char(rng, L):
 @pytest.mark.parametrize("name", ["p2", "p1xp1_twisted"])
 def test_split_rule_no_splits_at_discriminant_zero(name, p2, product_surface):
     # Q = v1^2 - 2*v0*v2 is negative on ker Z above the parabola, so a
-    # split v = w + u with Q(w), Q(u) >= 0 and Z(w), Z(u) on one ray forces
-    # Q(v) > 0: the scan returns [] for Q(v) = 0 without scanning
+    # split v = w + u with Q(w), Q(u) >= 0 and Z(w), Z(u) on one ray has
+    # Q(w), Q(u) < Q(v): for Q(v) = 0 that window is empty and the scan
+    # returns []
     L = {"p2": p2, "p1xp1_twisted": product_surface}[name]
     bounds = (3, 5) if L.rank == 1 else (1, 2)
     rng = random.Random(7103)
@@ -438,14 +439,15 @@ def test_split_rule_no_splits_at_discriminant_zero(name, p2, product_surface):
 
 
 def test_split_witness_charge_pinned(product_surface, monkeypatch):
-    # this split scan charges 1,539 witnesses, counted once per c1 vector,
-    # the charge the per-pair s-test made; its 847 (rank, c1) pairs are
-    # under both limits below, so only the witness budget can refuse it
-    v, seg = V(2, 1, F(-7, 2)), SegmentRegion(SP(-3, 9), SP(2, 5))
-    monkeypatch.setattr(walls, "_SCAN_LIMIT", 1538)
+    # this split scan charges 1,398 witnesses, counted once per c1 vector:
+    # the k inside the discriminant window that _pencil_ks leaves; its 847
+    # (rank, c1) pairs are under both limits below, so only the witness
+    # budget can refuse it
+    v, seg = V(4, 3, F(-31, 2)), SegmentRegion(SP(-3, 9), SP(2, 5))
+    monkeypatch.setattr(walls, "_SCAN_LIMIT", 1397)
     with pytest.raises(PreconditionError, match="witnesses"):
         enumerate_candidate_walls(v, seg, 3, 5, product_surface, split=True)
-    monkeypatch.setattr(walls, "_SCAN_LIMIT", 1539)
+    monkeypatch.setattr(walls, "_SCAN_LIMIT", 1398)
     assert enumerate_candidate_walls(v, seg, 3, 5, product_surface, split=True)
 
 
@@ -634,6 +636,8 @@ _SPLIT_CORPUS = (
 _SPLIT_DIGEST = "7873fbef6032aea2f4259247a1e7d56b76d6d6e41ec906fa5b089b149203ce66"
 # sha256 of the canonical JSON of the phase windows of all 200 instances
 _WINDOW_DIGEST = "2835bd7723940f50b9eec544333494c309e75b64d03b8453e49afedf7adab2c8"
+# sha256 of the canonical JSON of the trees of all 200 instances
+_TREES_DIGEST = "702327642845ac19f105f99df8fce64ab48aa71e225c6fa865fb43c0165d4724"
 
 
 def test_simulate_split_choice_pinned(p2):
@@ -654,22 +658,37 @@ def test_simulate_split_choice_pinned(p2):
     assert digest == _SPLIT_DIGEST
 
 
-def test_criterion2_windows_pinned():
-    # the 200 windows of the criterion-2 corpus, drawn as test_acceptance
-    # draws them, keep their bytes
+def _criterion2_corpus():
+    """(v, P, Q, window) of the 200 instances, drawn as test_acceptance draws them."""
     rng = random.Random(1002)
-    docs = []
-    while len(docs) < 200:
+    out = []
+    while len(out) < 200:
         v = _integral_char(rng)
         P, Q = _random_point(rng), _random_point(rng)
         if central_charge(P, v).is_zero:
             continue
         try:
-            docs.append(phase_bound_interval(P, Q, v).to_dict())
+            out.append((v, P, Q, phase_bound_interval(P, Q, v)))
         except (DegenerateGeometryError, PreconditionError):
             continue
+    return out
+
+
+def test_criterion2_windows_pinned():
+    # the 200 windows of the criterion-2 corpus keep their bytes
+    docs = [window.to_dict() for _, _, _, window in _criterion2_corpus()]
     digest = hashlib.sha256(dumps_canonical(docs).encode()).hexdigest()
     assert digest == _WINDOW_DIGEST
+
+
+def test_criterion2_trees_pinned(p2):
+    # the 200 destabilization trees of the criterion-2 corpus keep their bytes
+    trees = [
+        simulate_destabilization_paths(P, Q, v, (3, 5), p2).to_dict()
+        for v, P, Q, _ in _criterion2_corpus()
+    ]
+    digest = hashlib.sha256(dumps_canonical(trees).encode()).hexdigest()
+    assert digest == _TREES_DIGEST
 
 
 def test_simulate_leaves_in_interval_fuzz(p2):
