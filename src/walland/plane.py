@@ -285,36 +285,6 @@ def sign_of(x: Coord) -> int:
     return (x > 0) - (x < 0)
 
 
-def _cross_sign(p, q) -> int:
-    """Sign of p[0]*q[1] - p[1]*q[0] from integer products.
-
-    The entries are ints, Fractions or QuadNums of one radicand d = pd/qd.
-    With sqrt(d) = sqrt(pd*qd)/qd, one m > 0 turns each entry into
-    (A + B*sqrt(D)) / m with ints A, B and D = pd*qd.  Entries of two
-    radicands are left to QuadNum arithmetic, which raises
-    MixedRadicalError unless a zero factor drops one of them.
-    """
-    xs = (*p, *q)
-    d = _ZERO
-    for x in xs:
-        if type(x) is QuadNum and x.b:
-            if d and x.d != d:
-                return sign_of(p[0] * q[1] - p[1] * q[0])
-            d = x.d
-    qd = d.denominator
-    parts = [(x.a, x.b) if type(x) is QuadNum else (x, 0) for x in xs]
-    m = math.lcm(*[a.denominator for a, _ in parts], *[b.denominator * qd for _, b in parts])
-    a0, a1, c0, c1 = [a.numerator * (m // a.denominator) for a, _ in parts]
-    b0, b1, e0, e1 = [b.numerator * (m // (b.denominator * qd)) for _, b in parts]
-    D = d.numerator * qd
-    # (a0 + b0*r)(c1 + e1*r) - (a1 + b1*r)(c0 + e0*r) with r = sqrt(D)
-    return _sign_root(
-        a0 * c1 - a1 * c0 + (b0 * e1 - b1 * e0) * D,
-        a0 * e1 + b0 * c1 - a1 * e0 - b1 * c0,
-        D,
-    )
-
-
 def _primitive(a, zero="zero homogeneous triple"):
     """An integer triple over its gcd, the first nonzero entry positive.
 

@@ -27,7 +27,6 @@ from .plane import (
     PlaneLine,
     PlanePoint,
     _cross3,
-    _cross_sign,
     _den_lcm,
     _primitive,
     _scaled,
@@ -134,13 +133,8 @@ def _neg_ray(ray):
 
 
 def ray_cross_sign(r1, r2) -> int:
-    """Sign of r1 x r2; entries may be Fractions or QuadNums of one radicand."""
-    x1, y1 = r1
-    x2, y2 = r2
-    if type(x1) is type(y1) is type(x2) is type(y2) is int:
-        t = x1 * y2 - y1 * x2
-        return (t > 0) - (t < 0)
-    return _cross_sign(r1, r2)
+    """Sign of r1 x r2; entries may be ints, Fractions or QuadNums of one radicand."""
+    return sign_of(r1[0] * r2[1] - r1[1] * r2[0])
 
 
 def ray_dot_sign(r1, r2) -> int:

@@ -11,7 +11,6 @@ row reduction.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
@@ -367,18 +366,18 @@ def _unflatten(source, target, degree, layout, vec: List[Fraction]) -> HomCochai
     return HomCochain(source, target, degree, comps)
 
 
-def _d_rows(source, target, degree, wanted=None) -> Tuple[int, List[Dict[int, int]], int]:
+def _d_rows(source, target, degree) -> Tuple[int, List[Dict[int, int]], int]:
     """L, the rows of L*D^degree as {column: nonzero int}, and its nonzero column count.
 
     D is written from the integer forms `_ints` the complexes made of their
     differentials: L is the lcm of the L_i of the forms it uses, and each
     block L_i*d^i is multiplied by L // L_i, so L*D is integral with the
-    kernel and row space of D.  One row per coordinate of Hom^(degree+1) in
-    `wanted` (default: all, in order).  For d_t = d_target, d_s = d_source
-    and k = degree, row (i, a, b) holds d_t^(i+k)[a][x] at input (i, x, b)
-    and -(-1)^k d_s^i[y][b] at input (i+1, a, y).  So column (i, a, b) is
-    zero exactly when column a of d_t^(i+k) and row b of d_s^(i-1) are,
-    which land in different outputs.
+    kernel and row space of D.  One row per coordinate of Hom^(degree+1),
+    all of them, in order.  For d_t = d_target, d_s = d_source and
+    k = degree, row (i, a, b) holds d_t^(i+k)[a][x] at input (i, x, b) and
+    -(-1)^k d_s^i[y][b] at input (i+1, a, y).  So column (i, a, b) is zero
+    exactly when column a of d_t^(i+k) and row b of d_s^(i-1) are, which
+    land in different outputs.
     """
     k = degree
     offset, n, layout = {}, 0, _basis_layout(source, target, k)
@@ -390,28 +389,22 @@ def _d_rows(source, target, degree, wanted=None) -> Tuple[int, List[Dict[int, in
     ]
     L = lcm(*[d[0] for *_, t, s in blocks for d in (t, s) if d])
     sign = -1 if k % 2 == 0 else 1  # -(-1)^k, the sign of d_s
-    parts, starts, m, na, nb = [], [], 0, {}, {}  # nonzero columns of d_t, rows of d_s
+    rows, na, nb = [], {}, {}  # nonzero columns of d_t, rows of d_s
     for i, r, c, d_t, d_s in blocks:
         L_t, along_t, _, _, na[i] = d_t or (1, (), (), 0, 0)  # a missing d is the empty form
         L_s, along_s, down_s, nb[i + 1], _ = d_s or (1, (), (), 0, 0)
         f_t, f_s = L // L_t, sign * (L // L_s)
         # (column, entry) pairs at b = 0 and a = 0: along row a of d_t, down column b of d_s
-        t = [[(offset[i] + x * c, y * f_t) for x, y in pairs] for pairs in along_t]
-        s = [[(offset[i + 1] + y, v * f_s) for y, v in pairs] for pairs in down_s]
-        starts.append(m)
-        parts.append((m, c, t, len(along_s), s))
-        m += r * c
-
-    def row(j: int) -> Dict[int, int]:
-        start, c, t, c_s, s = parts[bisect_right(starts, j) - 1]
-        a, b = divmod(j - start, c)
-        out = {col + b: y for col, y in t[a]} if t else {}
-        if s:
-            out.update({col + a * c_s: v for col, v in s[b]})
-        return out
-
+        t = [[(offset[i] + x * c, y * f_t) for x, y in pairs] for pairs in along_t] or [()] * r
+        s = [[(offset[i + 1] + y, v * f_s) for y, v in pairs] for pairs in down_s] or [()] * c
+        c_s = len(along_s)
+        for a in range(r):
+            for b in range(c):
+                row = {col + b: y for col, y in t[a]}
+                row.update({col + a * c_s: v for col, v in s[b]})
+                rows.append(row)
     nonzero = sum(r * c - (r - na.get(i, 0)) * (c - nb.get(i, 0)) for i, r, c in layout)
-    return L, [row(j) for j in (range(m) if wanted is None else wanted)], nonzero
+    return L, rows, nonzero
 
 
 def _cancel(row: Dict[int, int], top: Dict[int, int], col: int) -> Dict[int, int]:
@@ -548,7 +541,7 @@ def cohomology(source: MatrixComplex, target: MatrixComplex, degree: int) -> Coh
     the RREF of D^degree: vector j is den_j at its free column, its last
     nonzero entry, and zero at the other free columns, so a cocycle is fixed
     by its entries there.  The image lies in the kernel (d o d = 0), so only
-    the rows of D^(degree-1) at the free coordinates are built, and inserted
+    the rows of D^(degree-1) at the free coordinates are taken, and inserted
     in descending free order: the image takes coordinate f when its row is
     independent of those before.  The representatives are the kernel
     vectors, in order, whose free column is not taken.  The dimension must
@@ -561,7 +554,8 @@ def cohomology(source: MatrixComplex, target: MatrixComplex, degree: int) -> Coh
     n = sum(r * c for _, r, c in layout)
     kernel = _kernel_basis(_d_rows(source, target, degree)[1], n)
     free = [max(v) for v in kernel]
-    _, image, nonzero = _d_rows(source, target, degree - 1, free[::-1])
+    _, rows, nonzero = _d_rows(source, target, degree - 1)
+    image = [rows[f] for f in free[::-1]]
     # a nonzero column that no free row reads would be a cocycle zero at every free column
     if len(set().union(*image)) != nonzero:
         raise InvariantError(f"degree {degree}: a coboundary is not a cocycle")

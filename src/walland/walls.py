@@ -720,6 +720,7 @@ def simulate_destabilization_paths(
         raise ZeroChargeError("zero character cannot be walked")
     if central_charge(P, v).is_zero:
         raise PreconditionError("character charge vanishes at the start point")
+    _check_scan_pairs(bounds, L)
     # the segment's ends as (m, m*s, m*q), one m > 0: the point at t = n/d
     # is (d - n)*start + n*end, over d*m, and the end over d*m is d*end
     start, end = _ring((P, Q))
@@ -743,10 +744,7 @@ def simulate_destabilization_paths(
         entry = LiftedPhase(n0, _ray_at(R0, X))
         leaf = entry.transport(_ray_at(end, X))
         events = []
-        if X[1] * X[1] == 2 * X[0] * X[2]:
-            # no split of Q(char) = 0 (enumerate_candidate_walls), but the
-            # scan's refusal of its bounds still holds
-            _check_scan_pairs(bounds, L)
+        if X[1] * X[1] == 2 * X[0] * X[2]:  # no split of Q(char) = 0 (enumerate_candidate_walls)
             cands = []
         else:
             p, d = at(t0)

@@ -84,6 +84,8 @@ def test_one_integer_cross_product():
     assert sites == [("plane.py", "_cross3")]
     defs = {node.name for name, _, node in _nodes() if isinstance(node, ast.FunctionDef)}
     assert "_proportional" not in defs
+    # a ray's cross sign is the sign of its product, with no second path
+    assert "_cross_sign" not in defs
 
 
 def _square(node) -> bool:
@@ -255,6 +257,12 @@ def test_one_hom_differential_formula():
         if isinstance(node, ast.Call) and _callee(node) == "_d_rows"
     }
     assert {("traces.py", "hom_differential"), ("traces.py", "cohomology")} <= d_rows_callers
+    # _d_rows writes every row; a caller takes the rows it needs
+    d_rows = [
+        node for name, _, node in _nodes()
+        if isinstance(node, ast.FunctionDef) and node.name == "_d_rows"
+    ]
+    assert [ast.unparse(d.args) for d in d_rows] == ["source, target, degree"]
 
 
 def _top_level_nodes():

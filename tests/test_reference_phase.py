@@ -154,8 +154,8 @@ def _sign_or_mixed(fn):
 
 
 def test_ray_signs_match_quadnum_arithmetic():
-    # cross and dot signs of rays of ints, Fractions and QuadNums are decided
-    # in ints as the QuadNum products decided them, two radicands included
+    # cross and dot signs of rays of ints, Fractions and QuadNums are those
+    # of the QuadNum products under the reference sign, two radicands included
     rng = random.Random(2204)
     radicands = (2, 3, F(5, 4), F(2, 9), 8)
 
