@@ -49,10 +49,7 @@ from .plane import (
     _den_lcm,
     _scaled,
     _sign_root,
-    line_intersection,
     line_parabola_intersect,
-    line_through,
-    parabola_translate,
     parse_frac,
 )
 from .stability import (
@@ -61,11 +58,10 @@ from .stability import (
     StabPoint,
     _ray_at,
     _wall_coeffs,
-    canonical_ray,
-    central_charge,
     heart_sign_check,
-    # not called here; walland.walls.wall_of stays the name that
-    # perfbench/tracing.py wraps
+    # not called here; walland.walls.canonical_ray and walland.walls.wall_of
+    # stay the names that perfbench/tracing.py wraps
+    canonical_ray,
     wall_of,
 )
 
@@ -570,43 +566,42 @@ def phase_bound_interval(P: StabPoint, Q: StabPoint, v: VTilde) -> PhaseInterval
     point and P; their phases at Q are lifted through a rotation of less
     than a half turn from the anchor phase of v at P.
 
-    Every decision is an integer sign.  With the chord a + b*s + c*q = 0
+    Every decision is an integer sign, read off integer triples: v's, and
+    P and Q as (m, m*s, m*q), one m > 0.  With the chord a + b*s + c*q = 0
     scaled to c > 0 (a vertical chord has one endpoint) and D = b^2 - 2*a*c,
     the endpoints are x = (-b -+ sqrt(D))/c, y = x^2/2, A first.  P lies
     on the chord strictly between them, so X - P points along the chord's
     charge ray (Im Z, -Re Z) for B and against it for A when Im Z(v) > 0
     at P.  Both lifts lie within a half turn of the anchor, so they are
     ordered by their sides of it, and on one side by the side of Q
-    relative to the chord.
+    relative to the chord.  QuadNums are built only to print A, B and rays.
     """
     if v.is_zero:
         raise ZeroChargeError("zero character has no phase interval")
-    zP = central_charge(P, v)
-    if zP.is_zero:
+    V, _ = _ints(v)
+    Pr, (q0, q1, q2) = _ring((P, Q))
+    if not any(_cross3(Pr, V)[1:]):  # Z_P(v) = 0: v's plane point is P
         raise PreconditionError("character plane point coincides with P")
-    Xv, Pp = v.plane_point(), P.plane_point()
-    L = line_through(Xv, Pp)
+    L = PlaneLine(_wall_coeffs(V, Pr))
     pts = line_parabola_intersect(L, ParabolaShift(Fraction(0)))
     if len(pts) != 2:
         raise DegenerateGeometryError(
             "chord line is tangent to or misses the parabola"
         )
     A, B = pts
-    anchor = LiftedPhase(0, canonical_ray(*zP))
+    anchor = LiftedPhase(0, _ray_at(Pr, V))
     a, b, c = L.coeffs if L.coeffs[2] > 0 else [-x for x in L.coeffs]
     D = b * b - 2 * a * c
-    ((q0, q1, q2),) = _ring((Q,))
     # X - Q times c^2*q0 is (xq + e*c*q0*sqrt(D), yq - e*b*q0*sqrt(D)), e = -1 at A
     xq, yq = -c * (b * q0 + c * q1), q0 * (b * b - a * c) - c * c * q2
     side = (anchor.ray[1] > 0) - (anchor.ray[1] < 0)
     lam_A, k_A = _endpoint_lift(A, Q, -side, (xq, -c * q0), (yq, b * q0), D, anchor)
     lam_B, k_B = _endpoint_lift(B, Q, side, (xq, c * q0), (yq, -b * q0), D, anchor)
     degenerate = None
-    h0, h1, h2 = Xv.h
-    if h0 and h1 * h1 == 2 * h0 * h2:
-        # v's plane point is the endpoint on its side of P, h0 > 0
-        p0, p1, _ = Pp.h
-        degenerate = "A" if h1 * p0 < p1 * h0 else "B"
+    V0, V1, V2 = V
+    if V0 and V1 * V1 == 2 * V0 * V2:
+        # v's plane point is the endpoint on its side of P, V1/V0 < s or not
+        degenerate = "A" if V1 * V0 * Pr[0] < Pr[1] * V0 * V0 else "B"
     order = k_A - k_B if k_A != k_B else a * q0 + b * q1 + c * q2
     if order <= 0:
         lo, hi = lam_A, lam_B
@@ -718,12 +713,16 @@ def simulate_destabilization_paths(
     bounds = EnumerationBounds.coerce(bounds)
     if v.is_zero:
         raise ZeroChargeError("zero character cannot be walked")
-    if central_charge(P, v).is_zero:
-        raise PreconditionError("character charge vanishes at the start point")
-    _check_scan_pairs(bounds, L)
     # the segment's ends as (m, m*s, m*q), one m > 0: the point at t = n/d
     # is (d - n)*start + n*end, over d*m, and the end over d*m is d*end
     start, end = _ring((P, Q))
+    C = _ints(v)
+    if not any(_cross3(start, C[0])[1:]):
+        raise PreconditionError("character charge vanishes at the start point")
+    # Z_Q(x) = 0 needs x1^2 < 2*x0*x2, which no split part has: only the root
+    if not any(_cross3(end, C[0])[1:]):
+        raise PreconditionError("character charge vanishes at the end point")
+    _check_scan_pairs(bounds, L)
     m, ps, pq = start
     _, qs, qq = end
 
@@ -775,7 +774,7 @@ def simulate_destabilization_paths(
         memo[key] = node
         return node
 
-    return build(v, _ints(v), Fraction(0), 0, start)
+    return build(v, C, Fraction(0), 0, start)
 
 
 def _ints(x: VTilde):
@@ -830,7 +829,8 @@ def ext2_vanishing_certificate(
     whole phase-bound interval.  Right branch: mirror through the derived
     dual (s, D flip) and recurse.  Boundary case: perturb sideways and
     recurse nearby.  A failed inequality raises CertificateFailure with a
-    counterexample payload.
+    counterexample payload.  Charges, rays, chords and their meet are read
+    off integer triples; A, B, A', B', their rays, R and Q are built to print.
     """
     if not L.poisson_mode:
         raise PreconditionError("surface is not in the anticanonical regime (H.K >= 0)")
@@ -879,7 +879,8 @@ def _dual_certificate(P, v, ch, L) -> Ext2Certificate:
     ch2, _, s2 = dual_reduce(ch, L.D, P.s)
     L2 = L.mirrored()
     P2 = StabPoint(s2, P.q)
-    v2 = vtilde(ch2, L2)
+    # vtilde(derived_dual(ch), L.mirrored()): H.c1 flips, and D.c1 does not
+    v2 = VTilde(v.v0, -v.v1, v.v2)
     negated = False
     if heart_sign_check(P2, v2) is HeartPosition.Fails:
         ch2, v2, negated = -ch2, -v2, True
@@ -895,8 +896,9 @@ def _dual_certificate(P, v, ch, L) -> Ext2Certificate:
 
 
 def _left_certificate(P, v, ch, L) -> Ext2Certificate:
-    Qpt = parabola_translate(P.plane_point(), L.HK / L.HH)
-    Q = StabPoint(Qpt.x, Qpt.y)
+    # Q is P slid by delta = H.K/H.H along its parabola q = s^2/2 + const
+    delta = L.HK / L.HH
+    Q = StabPoint(P.s + delta, P.q + delta * (P.s + delta / 2))
     chK = tensor_by_K(ch, L)
     vK = vtilde(chK, L)
 
@@ -909,28 +911,24 @@ def _left_certificate(P, v, ch, L) -> Ext2Certificate:
     if vK.is_zero:
         _fail("twisted character vanishes", base)
 
-    Xv = v.plane_point()
-    XvK = vK.plane_point()
-    chord1 = line_through(Xv, P.plane_point())
+    (V, _), (VK, _) = _ints(v), _ints(vK)
+    Pr, Qr = _ring((P, Q))
+    # Z_P(v) != 0 (heart sign check), so v's plane point is not P
+    chord1 = PlaneLine(_wall_coeffs(V, Pr))
     pts1 = line_parabola_intersect(chord1, ParabolaShift(Fraction(0)))
     if len(pts1) != 2:
         _fail("character chord degenerates (vertical or tangent)", base)
-    if Xv == XvK:
+    if not any(_cross3(V, VK)):
         _fail("twist does not move the plane point", base)
-    chord2 = line_through(XvK, Qpt)
+    # vK0 = v0 and vK1 = v1 + delta*v0: vK's plane point is at infinity or at
+    # s = v1/v0 + delta > Q.s, so it is not Q, and Z_Q(vK) != 0
+    chord2 = PlaneLine(_wall_coeffs(VK, Qr))
     pts2 = line_parabola_intersect(chord2, ParabolaShift(Fraction(0)))
     if len(pts2) != 2:
         _fail("twisted chord degenerates (vertical or tangent)", base)
-    A, B = pts1
-    A2, B2 = pts2
     data = dict(base)
-    for key, xy in (("A", A), ("B", B), ("Ap", A2), ("Bp", B2)):
+    for key, xy in zip(("A", "B", "Ap", "Bp"), pts1 + pts2):
         data[key] = pair_to_json(xy)
-
-    zP = central_charge(P, v)
-    zQK = central_charge(Q, vK)
-    if zQK.is_zero:
-        _fail("twisted charge vanishes at the translated parameter", data)
 
     if chord1 == chord2:
         # This never certifies.  One chord gives A = A2 and B = B2, so a
@@ -944,27 +942,26 @@ def _left_certificate(P, v, ch, L) -> Ext2Certificate:
         # vertical.
         _fail("chords coincide", data)
 
-    R = line_intersection(chord1, chord2)
-    if not R.at_infinity:
-        side = 2 * R.y - R.x * R.x
+    R = _cross3(chord1.coeffs, chord2.coeffs)
+    if R[0]:
+        R = R if R[0] > 0 else tuple(-x for x in R)
+        side = 2 * R[0] * R[2] - R[1] * R[1]  # the sign of 2*q - s^2 at R
         if side > 0:
-            return _segments_branch(P, Q, v, vK, zP, zQK, (R.x, R.y), data)
+            return _segments_branch(Pr, Qr, V, VK, R, data)
         if side == 0:
             _fail("chords touch only on the parabola", data)
-    return _dominance_branch(P, Q, v, vK, zQK, data)
+    return _dominance_branch(P, Q, v, Qr, VK, data)
 
 
-def _segments_branch(P, Q, v, vK, zP, zQK, R, data) -> Ext2Certificate:
-    zRv = central_charge(R, v)
-    zRk = central_charge(R, vK)
-    if zRv.is_zero or zRk.is_zero:
+def _segments_branch(Pr, Qr, V, VK, R, data) -> Ext2Certificate:
+    if not any(_cross3(R, V)[1:]) or not any(_cross3(R, VK)[1:]):
         _fail("a charge vanishes at the chord intersection", data)
-    lam_v = LiftedPhase(0, canonical_ray(*zP)).transport(canonical_ray(*zRv))
-    lam_k = LiftedPhase(0, canonical_ray(*zQK)).transport(canonical_ray(*zRk))
+    lam_v = LiftedPhase(0, _ray_at(Pr, V)).transport(_ray_at(R, V))
+    lam_k = LiftedPhase(0, _ray_at(Qr, VK)).transport(_ray_at(R, VK))
     data = dict(data)
     data.update(
         {
-            "R": {"s": str(R[0]), "q": str(R[1])},
+            "R": {"s": str(Fraction(R[1], R[0])), "q": str(Fraction(R[2], R[0]))},
             "phase_at_R": lam_v.to_dict(),
             "twisted_phase_at_R": lam_k.to_dict(),
         }
@@ -974,9 +971,9 @@ def _segments_branch(P, Q, v, vK, zP, zQK, R, data) -> Ext2Certificate:
     _fail("phase inequality fails at the chord intersection", data)
 
 
-def _dominance_branch(P, Q, v, vK, zQK, data) -> Ext2Certificate:
+def _dominance_branch(P, Q, v, Qr, VK, data) -> Ext2Certificate:
     interval = phase_bound_interval(P, Q, v)
-    lam_k = LiftedPhase(0, canonical_ray(*zQK))
+    lam_k = LiftedPhase(0, _ray_at(Qr, VK))
     data = dict(data)
     data.update(
         {

@@ -277,6 +277,24 @@ def test_simulate_crossing_segment(capsys):
     assert ev["R"] == {"s": "-17/12", "q": "9/8"}
 
 
+@pytest.mark.parametrize(
+    "ends, where",
+    [(("--s=0", "--q=1", "--s2=1", "--q2=2"), "start"),
+     (("--s=1", "--q=2", "--s2=0", "--q2=1"), "end")],
+)
+def test_simulate_refuses_a_vanishing_charge(capsys, ends, where):
+    # (1, 0, 1) has Z = 0 at (0, 1), at either end of the segment
+    code, doc = run_json(
+        capsys, "simulate", "--surface", P2, "--char", "1,0,1", *ends,
+        "--rank-bound", "1", "--c1-bound", "1",
+    )
+    assert code == 3
+    assert doc == {
+        "error": "PreconditionError",
+        "message": f"character charge vanishes at the {where} point",
+    }
+
+
 def test_phase_bounds_interval(capsys):
     code, doc = run_json(
         capsys, "phase-bounds", "--surface", P2, "--char", "1,-1,-1",

@@ -366,6 +366,29 @@ def test_one_integer_wall_decision():
     }
 
 
+def test_walls_decide_on_integer_triples():
+    # the phase window, the walk and the certificate take charges, rays,
+    # chords, their meet and the translated point from integer triples
+    # (_cross3, _wall_coeffs, _ray_at), not from the object geometry
+    banned = {
+        "central_charge",
+        "canonical_ray",
+        "plane_point",
+        "line_through",
+        "line_intersection",
+        "parabola_translate",
+    }
+    calls = sorted(
+        (func, node.lineno)
+        for name, func, node in _nodes()
+        if name == "walls.py"
+        and isinstance(node, ast.Call)
+        and (node.func.attr if isinstance(node.func, ast.Attribute) else _callee(node))
+        in banned
+    )
+    assert calls == []
+
+
 def test_no_float_division_in_floor_or_ceil():
     # math.floor(a / b) on ints rounds a / b to a float first; exact integer
     # floors and ceils are a // b and -(-a // b)

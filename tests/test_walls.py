@@ -26,6 +26,7 @@ from walland import (
     ZeroChargeError,
     central_charge,
     collect_leaves,
+    derived_dual,
     discriminant,
     dual_reduce,
     enumerate_candidate_walls,
@@ -638,6 +639,9 @@ _SPLIT_DIGEST = "7873fbef6032aea2f4259247a1e7d56b76d6d6e41ec906fa5b089b149203ce6
 _WINDOW_DIGEST = "2835bd7723940f50b9eec544333494c309e75b64d03b8453e49afedf7adab2c8"
 # sha256 of the canonical JSON of the trees of all 200 instances
 _TREES_DIGEST = "702327642845ac19f105f99df8fce64ab48aa71e225c6fa865fb43c0165d4724"
+# sha256 of the canonical JSON of the certificates and CertificateFailures
+# (message and payload) of _certificate_corpus
+_CERTIFICATE_DIGEST = "da81bfed0780bca39d3e5b095c3a638aae0f13836a1aaa35dd9bdaaf3db2e948"
 
 
 def test_simulate_split_choice_pinned(p2):
@@ -771,6 +775,21 @@ def test_dual_reduce_involution(p2):
         assert ch3 == ch and s3 == s and D3 == p2.D
 
 
+def test_mirror_projection_flips_v1(p2, quartic, product_surface):
+    # _dual_certificate builds the mirror's projection as (v0, -v1, v2)
+    rng = random.Random(2708)
+    for L in (p2, quartic, product_surface):
+        for _ in range(40):
+            ch = CharVec.make(
+                rng.randint(-3, 3),
+                [rng.randint(-4, 4) for _ in range(L.rank)],
+                rand_frac(rng, 9, 2),
+            )
+            v = vtilde(ch, L)
+            assert vtilde(derived_dual(ch), L.mirrored()) == V(v.v0, -v.v1, v.v2)
+    assert any(product_surface.D.coords)  # the D.c1 term is exercised
+
+
 # ---------------------------------------------------------------------------
 # vanishing certificates
 # ---------------------------------------------------------------------------
@@ -848,14 +867,15 @@ def test_certificate_checks_projection_once(p2, monkeypatch):
     ch = CharVec.make(-1, [1], 2)
     with pytest.raises(PreconditionError, match="character projection does not match v"):
         ext2_vanishing_certificate(SP(3, 6), vtilde(ch, p2) + V(0, 0, 1), ch, p2)
-    # the dual branch builds one projection on the mirror and recurses
-    # without checking it again: 3 calls, not 4, on the way to the left branch
+    # the dual branch flips the sign of v1 for the mirror's projection and
+    # recurses without checking it again: the top check and the left
+    # branch's twisted character are the only 2 calls
     P = SP(3, 6)
     want = ext2_vanishing_certificate(P, vtilde(ch, p2), ch, p2)
     calls = []
     monkeypatch.setattr(walls, "vtilde", lambda c, L: calls.append(c) or vtilde(c, L))
     assert ext2_vanishing_certificate(P, vtilde(ch, p2), ch, p2) == want
-    assert want.branch == "DualReduction" and len(calls) == 3
+    assert want.branch == "DualReduction" and len(calls) == 2
 
 
 def test_certificate_failure_payload(p2):
@@ -888,6 +908,62 @@ def test_certificate_fuzz_left_side(p2):
             pytest.fail(f"certificate refused: {exc} {exc.payload}")
         assert cert.branch in ("PhaseDominance", "SegmentsIntersect")
         done += 1
+
+
+def _certificate_corpus(p2, product_surface):
+    """(P, ch, L) seeded on p2 and p1xp1_twisted; every v has a heart charge at P.
+
+    Per surface: parameters left of, right of and on the vertical of v's
+    plane point, and rank-zero classes, among them skyscrapers.
+    """
+    rng = random.Random(2707)
+    out = []
+    for L in (p2, product_surface):
+        for kind, count in (("left", 60), ("right", 60), ("aligned", 20), ("rank0", 300)):
+            done = 0
+            while done < count:
+                small = kind == "rank0"
+                r = 0 if small else rng.randint(-3, 3)
+                c1 = [rng.randint(-3, 3) if small else rng.randint(-4, 4) for _ in range(L.rank)]
+                ch = CharVec.make(r, c1, F(rng.randint(-8, 8), rng.randint(1, 2)))
+                v = vtilde(ch, L)
+                if v.is_zero or discriminant(v) < 0 or (v.v0 == 0) != small:
+                    continue
+                if kind == "aligned":
+                    if v.v0 > 0:
+                        continue
+                    s = v.v1 / v.v0
+                else:
+                    s = F(rng.randint(-12, 12), rng.randint(1, 2 if small else 4))
+                    if v.v0 and (s == v.v1 / v.v0 or (s < v.v1 / v.v0) != (kind == "left")):
+                        continue
+                q = s * s / 2 + F(rng.randint(1, 8), rng.randint(1, 2 if small else 4))
+                z = central_charge((s, q), v)
+                if z.im > 0 or (z.im == 0 and z.re < 0):
+                    out.append((StabPoint(s, q), ch, L))
+                    done += 1
+    return out
+
+
+def test_certificate_documents_pinned(p2, product_surface):
+    docs, branches, failures = [], Counter(), Counter()
+    for P, ch, L in _certificate_corpus(p2, product_surface):
+        try:
+            cert = ext2_vanishing_certificate(P, vtilde(ch, L), ch, L)
+        except CertificateFailure as exc:
+            failures[str(exc)] += 1
+            docs.append({"error": str(exc), "payload": exc.payload})
+            continue
+        docs.append({"certificate": cert.to_dict()})
+        while cert is not None:
+            branches[cert.branch] += 1
+            cert = cert.inner
+    assert set(branches) == {
+        "PhaseDominance", "SegmentsIntersect", "DualReduction", "NearbyStability"
+    }
+    assert len(failures) >= 2
+    digest = hashlib.sha256(dumps_canonical(docs).encode()).hexdigest()
+    assert digest == _CERTIFICATE_DIGEST, (branches, failures, digest)
 
 
 def test_certificate_equal_chords_branch():
