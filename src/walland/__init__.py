@@ -30,16 +30,7 @@ from .lattice import (
     untwist_char,
     vtilde,
 )
-from .plane import (
-    ParabolaShift,
-    PlaneLine,
-    PlanePoint,
-    QuadNum,
-    line_intersection,
-    line_parabola_intersect,
-    line_through,
-    parabola_translate,
-)
+from .plane import PlaneLine, PlanePoint, QuadNum, line_parabola_intersect
 from .stability import (
     ChargeValue,
     HeartPosition,

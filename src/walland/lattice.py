@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain, product
 
 from .errors import DimensionMismatch, PreconditionError, SchemaError
-from .plane import PlanePoint, _den_lcm, _scaled, parse_frac
+from .plane import _den_lcm, _scaled, parse_frac
 
 
 @dataclass(frozen=True)
@@ -261,11 +261,6 @@ class VTilde:
     @property
     def is_zero(self) -> bool:
         return self.v0 == 0 and self.v1 == 0 and self.v2 == 0
-
-    def plane_point(self) -> PlanePoint:
-        if self.is_zero:
-            raise PreconditionError("zero character has no plane point")
-        return PlanePoint.make(self.v0, self.v1, self.v2)
 
     def as_tuple(self):
         return (self.v0, self.v1, self.v2)

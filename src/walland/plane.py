@@ -2,8 +2,8 @@
 
 Points carry homogeneous rational coordinates [v0 : v1 : v2]; the affine
 chart v0 != 0 is the (x, y) plane in which stability parameters live, and
-v0 = 0 is the line at infinity.  Reference parabolas y = x^2/2 + C cut the
-plane; lines meet them in points whose coordinates live in one quadratic
+v0 = 0 is the line at infinity.  The boundary parabola y = x^2/2 cuts the
+plane; lines meet it in points whose coordinates live in one quadratic
 extension of the rationals per line.  Every predicate here is decided by
 exact sign computation; floats appear only in display helpers.
 """
@@ -315,10 +315,6 @@ class PlanePoint:
             _canonical_int_triple(parse_frac(v0), parse_frac(v1), parse_frac(v2))
         )
 
-    @staticmethod
-    def affine(x, y) -> "PlanePoint":
-        return PlanePoint.make(1, x, y)
-
     @property
     def at_infinity(self) -> bool:
         return self.h[0] == 0
@@ -334,9 +330,6 @@ class PlanePoint:
         if self.at_infinity:
             raise PreconditionError("point at infinity has no affine coordinates")
         return Fraction(self.h[2], self.h[0])
-
-    def affine_pair(self):
-        return (self.x, self.y)
 
     def __repr__(self):
         return f"[{self.h[0]}:{self.h[1]}:{self.h[2]}]"
@@ -395,41 +388,8 @@ def _cross3(p, q):
     )
 
 
-def line_through(p: PlanePoint, q: PlanePoint) -> PlaneLine:
-    """Unique line through two distinct projective points."""
-    if p == q:
-        raise PreconditionError("line_through needs two distinct points")
-    # coefficient vector orthogonal to both coordinate triples
-    return PlaneLine.make(*_cross3(p.h, q.h))
-
-
-def line_intersection(l1: PlaneLine, l2: PlaneLine) -> PlanePoint:
-    if l1 == l2:
-        raise PreconditionError("identical lines have no unique intersection")
-    return PlanePoint.make(*_cross3(l1.coeffs, l2.coeffs))
-
-
-@dataclass(frozen=True)
-class ParabolaShift:
-    """Reference parabola y = x^2/2 + C."""
-
-    C: Fraction
-
-    @staticmethod
-    def make(C) -> "ParabolaShift":
-        return ParabolaShift(parse_frac(C))
-
-    @staticmethod
-    def through(x, y) -> "ParabolaShift":
-        x, y = parse_frac(x), parse_frac(y)
-        return ParabolaShift(y - x * x / 2)
-
-    def height(self, x):
-        return x * x / 2 + self.C
-
-
-def line_parabola_intersect(line: PlaneLine, parabola: ParabolaShift):
-    """Affine intersection points of a line with y = x^2/2 + C.
+def line_parabola_intersect(line: PlaneLine):
+    """Affine intersection points of a line with the parabola y = x^2/2.
 
     Returns a list of (x, y) pairs with QuadNum coordinates ordered by x:
     two points for a secant, one for a tangent or a vertical line, none
@@ -440,13 +400,13 @@ def line_parabola_intersect(line: PlaneLine, parabola: ParabolaShift):
     a, b, c = line.coeffs
     if c == 0:
         x0 = Fraction(-a, b)
-        y0 = parabola.height(x0)
+        y0 = x0 * x0 / 2
         return [(QuadNum._of(x0, _ZERO, _ZERO), QuadNum._of(y0, _ZERO, _ZERO))]
     m = line.slope()
     k = line.y_intercept()
-    # x^2/2 + C = m x + k  =>  x^2 - 2 m x + 2(C - k) = 0, roots m -+ sqrt(disc),
+    # x^2/2 = m x + k  =>  x^2 - 2 m x - 2 k = 0, roots m -+ sqrt(disc),
     # and y = m x + k = (m^2 + k) -+ m sqrt(disc)
-    disc = m * m - 2 * (parabola.C - k)
+    disc = m * m + 2 * k
     if disc < 0:
         return []
     y0 = m * m + k
@@ -458,13 +418,3 @@ def line_parabola_intersect(line: PlaneLine, parabola: ParabolaShift):
         ]
     roots = [(m - r, y0 - m * r), (m + r, y0 + m * r)] if r else [(m, y0)]
     return [(QuadNum._of(x, _ZERO, _ZERO), QuadNum._of(y, _ZERO, _ZERO)) for x, y in roots]
-
-
-def parabola_translate(p: PlanePoint, delta) -> PlanePoint:
-    """Slide an affine point along its own parabola y = x^2/2 + C by delta in x."""
-    if p.at_infinity:
-        raise PreconditionError("cannot translate a point at infinity along a parabola")
-    delta = parse_frac(delta)
-    par = ParabolaShift.through(p.x, p.y)
-    nx = p.x + delta
-    return PlanePoint.affine(nx, par.height(nx))

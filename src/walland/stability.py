@@ -30,7 +30,6 @@ from .plane import (
     _den_lcm,
     _primitive,
     _scaled,
-    line_intersection,
     parse_frac,
     sign_of,
 )
@@ -55,9 +54,6 @@ class StabPoint:
 
     def __iter__(self):
         return iter((self.s, self.q))
-
-    def plane_point(self) -> PlanePoint:
-        return PlanePoint.affine(self.s, self.q)
 
     def to_dict(self) -> dict:
         return {"s": str(self.s), "q": str(self.q)}
@@ -340,10 +336,11 @@ def walls_disjoint_above_parabola(v: VTilde, w1: VTilde, w2: VTilde) -> PlanePoi
     l2 = wall_of(v, w2)
     if l1 == l2:
         raise PreconditionError("walls are identical")
-    R = line_intersection(l1, l2)
-    if not R.at_infinity:
-        if 2 * R.y > R.x * R.x:
-            raise PreconditionError(
-                f"wall intersection {R} lies strictly above the parabola"
-            )
+    R = PlanePoint.make(*_cross3(l1.coeffs, l2.coeffs))
+    g, gs, gq = R.h
+    # 2*q > s^2 at R, times g^2 > 0; at infinity g = 0 and it never holds
+    if 2 * g * gq > gs * gs:
+        raise PreconditionError(
+            f"wall intersection {R} lies strictly above the parabola"
+        )
     return R

@@ -43,7 +43,6 @@ from .lattice import (
     vtilde,
 )
 from .plane import (
-    ParabolaShift,
     PlaneLine,
     _cross3,
     _den_lcm,
@@ -583,7 +582,7 @@ def phase_bound_interval(P: StabPoint, Q: StabPoint, v: VTilde) -> PhaseInterval
     if not any(_cross3(Pr, V)[1:]):  # Z_P(v) = 0: v's plane point is P
         raise PreconditionError("character plane point coincides with P")
     L = PlaneLine(_wall_coeffs(V, Pr))
-    pts = line_parabola_intersect(L, ParabolaShift(Fraction(0)))
+    pts = line_parabola_intersect(L)
     if len(pts) != 2:
         raise DegenerateGeometryError(
             "chord line is tangent to or misses the parabola"
@@ -915,20 +914,20 @@ def _left_certificate(P, v, ch, L) -> Ext2Certificate:
     Pr, Qr = _ring((P, Q))
     # Z_P(v) != 0 (heart sign check), so v's plane point is not P
     chord1 = PlaneLine(_wall_coeffs(V, Pr))
-    pts1 = line_parabola_intersect(chord1, ParabolaShift(Fraction(0)))
+    pts1 = line_parabola_intersect(chord1)
     if len(pts1) != 2:
         _fail("character chord degenerates (vertical or tangent)", base)
     if not any(_cross3(V, VK)):
         _fail("twist does not move the plane point", base)
     # vK0 = v0 and vK1 = v1 + delta*v0: vK's plane point is at infinity or at
-    # s = v1/v0 + delta > Q.s, so it is not Q, and Z_Q(vK) != 0
+    # s = v1/v0 + delta > Q.s, so it is not Q, and Z_Q(vK) != 0.  The chord is
+    # not vertical: at infinity that needs v0 = v1 = 0, refused above with a
+    # vertical character chord.  Through Q, strictly above the parabola, a
+    # line that is not vertical is a secant: the twisted chord has two ends.
     chord2 = PlaneLine(_wall_coeffs(VK, Qr))
-    pts2 = line_parabola_intersect(chord2, ParabolaShift(Fraction(0)))
-    if len(pts2) != 2:
-        _fail("twisted chord degenerates (vertical or tangent)", base)
-    data = dict(base)
-    for key, xy in zip(("A", "B", "Ap", "Bp"), pts1 + pts2):
-        data[key] = pair_to_json(xy)
+    (A, B), (Ap, Bp) = pts1, line_parabola_intersect(chord2)
+    data = dict(base, A=pair_to_json(A), B=pair_to_json(B))
+    data.update(Ap=pair_to_json(Ap), Bp=pair_to_json(Bp))
 
     if chord1 == chord2:
         # This never certifies.  One chord gives A = A2 and B = B2, so a

@@ -15,8 +15,14 @@ from fractions import Fraction
 
 from walland.errors import DegenerateGeometryError, PreconditionError, ZeroChargeError
 from walland.lattice import VTilde
-from walland.plane import ParabolaShift, line_parabola_intersect, line_through
-from walland.stability import LiftedPhase, StabPoint, canonical_ray, central_charge
+from walland.plane import PlanePoint, line_parabola_intersect
+from walland.stability import (
+    LiftedPhase,
+    StabPoint,
+    canonical_ray,
+    central_charge,
+    wall_of,
+)
 from walland.walls import PhaseInterval
 
 
@@ -71,9 +77,9 @@ def phase_bound_interval(P: StabPoint, Q: StabPoint, v: VTilde) -> PhaseInterval
     zP = central_charge(P, v)
     if zP.is_zero:
         raise PreconditionError("character plane point coincides with P")
-    Xv = v.plane_point()
-    L = line_through(Xv, P.plane_point())
-    pts = line_parabola_intersect(L, ParabolaShift(Fraction(0)))
+    Xv = PlanePoint.make(*v.as_tuple())
+    L = wall_of(v, VTilde(1, P.s, P.q))
+    pts = line_parabola_intersect(L)
     if len(pts) != 2:
         raise DegenerateGeometryError(
             "chord line is tangent to or misses the parabola"

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import walland
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "walland"
 
 
@@ -387,6 +389,29 @@ def test_walls_decide_on_integer_triples():
         in banned
     )
     assert calls == []
+
+
+def test_object_chord_geometry_retired():
+    # chords, walls and their meets are integer triples (_wall_coeffs,
+    # _cross3); the Fraction point-and-line helpers they replaced stay gone
+    retired = {"line_through", "line_intersection", "parabola_translate", "ParabolaShift"}
+    assert retired.isdisjoint(walland.__all__)
+    defs = sorted(
+        (name, node.name)
+        for name, _, node in _nodes()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name in retired | {"plane_point", "affine", "affine_pair"}
+    )
+    assert defs == []
+    from_plane = sorted(
+        alias.name
+        for name, _, node in _nodes()
+        if name == "lattice.py"
+        and isinstance(node, ast.ImportFrom)
+        and node.module in ("plane", "walland.plane")
+        for alias in node.names
+    )
+    assert from_plane == ["_den_lcm", "_scaled", "parse_frac"]
 
 
 def test_no_float_division_in_floor_or_ceil():

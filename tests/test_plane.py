@@ -14,7 +14,6 @@ from walland import (
     CharVec,
     Mat,
     MixedRadicalError,
-    ParabolaShift,
     PlaneLine,
     PlanePoint,
     PreconditionError,
@@ -22,10 +21,8 @@ from walland import (
     SchemaError,
     StabPoint,
     VTilde,
-    line_intersection,
     line_parabola_intersect,
-    line_through,
-    parabola_translate,
+    wall_of,
 )
 
 from walland import jsonio
@@ -212,14 +209,14 @@ def test_trusted_results_refuse_two_radicands():
             op()
 
 
-def _old_line_parabola_intersect(line, parabola):
-    # the chord roots as QuadNum arithmetic on the public constructor
+def _old_line_parabola_intersect(line):
+    # the chord roots on y = x^2/2 as QuadNum arithmetic on the public constructor
     a, b, c = line.coeffs
     if c == 0:
         x0 = F(-a, b)
-        return [(QuadNum(x0), QuadNum(parabola.height(x0)))]
+        return [(QuadNum(x0), QuadNum(x0 * x0 / 2))]
     m, k = line.slope(), line.y_intercept()
-    disc = m * m - 2 * (parabola.C - k)
+    disc = m * m + 2 * k
     if disc < 0:
         return []
     if disc == 0:
@@ -246,28 +243,24 @@ def test_chord_roots_pinned_to_the_old_formula(coeffs, disc):
     line = PlaneLine.make(*coeffs)
     m, k = line.slope(), line.y_intercept()
     assert m * m + 2 * k == disc
-    par = ParabolaShift.make(0)
-    pts = line_parabola_intersect(line, par)
-    assert _quad_points(pts) == _quad_points(_old_line_parabola_intersect(line, par))
+    pts = line_parabola_intersect(line)
+    assert _quad_points(pts) == _quad_points(_old_line_parabola_intersect(line))
     # x = m -+ sqrt(disc) prints the chord's discriminant as it is
     for x, _ in pts:
         assert jsonio.quad_to_json(x)["delta"] == ("0" if disc == 9 else str(disc))
 
 
 def test_chord_disc_8_prints_delta_8():
-    (ax, ay), (bx, by) = line_parabola_intersect(PlaneLine.make(-4, 0, 1), ParabolaShift.make(0))
+    (ax, ay), (bx, by) = line_parabola_intersect(PlaneLine.make(-4, 0, 1))
     assert jsonio.quad_to_json(ax) == {"a": "0", "b": "-1", "delta": "8"}
     assert jsonio.quad_to_json(by) == {"a": "4", "b": "0", "delta": "0"}
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.tuples(*[st.integers(-9, 9)] * 3).filter(lambda t: t[1] or t[2]),
-    st.fractions(min_value=-5, max_value=5, max_denominator=8),
-)
-def test_chord_roots_match_the_old_formula(coeffs, C):
-    line, par = PlaneLine.make(*coeffs), ParabolaShift.make(C)
-    new, old = line_parabola_intersect(line, par), _old_line_parabola_intersect(line, par)
+@given(st.tuples(*[st.integers(-9, 9)] * 3).filter(lambda t: t[1] or t[2]))
+def test_chord_roots_match_the_old_formula(coeffs):
+    line = PlaneLine.make(*coeffs)
+    new, old = line_parabola_intersect(line), _old_line_parabola_intersect(line)
     assert _quad_points(new) == _quad_points(old)
 
 
@@ -322,8 +315,8 @@ def test_plane_point_canonical_triple():
 
 def test_plane_point_projective_equality_and_affine():
     assert PlanePoint.make(2, 4, 6) == PlanePoint.make(1, 2, 3)
-    p = PlanePoint.affine(F(1, 2), F(-2, 3))
-    assert p.affine_pair() == (F(1, 2), F(-2, 3))
+    p = PlanePoint.make(1, F(1, 2), F(-2, 3))
+    assert (p.x, p.y) == (F(1, 2), F(-2, 3))
     inf = PlanePoint.make(0, 1, 1)
     assert inf.at_infinity
     with pytest.raises(PreconditionError):
@@ -332,30 +325,30 @@ def test_plane_point_projective_equality_and_affine():
 
 def test_line_through_axis_case():
     # wall of the structure sheaf and a skyscraper: the vertical v1 = 0
-    line = line_through(PlanePoint.make(1, 0, 0), PlanePoint.make(0, 0, 1))
+    line = wall_of(VTilde.make(1, 0, 0), VTilde.make(0, 0, 1))
     assert line.coeffs == (0, 1, 0)
     assert line.is_vertical
 
 
 def test_line_through_affine_cases():
-    # y = -x
-    line = line_through(PlanePoint.make(1, 0, 0), PlanePoint.make(1, -1, 1))
+    # the wall through two plane points: y = -x
+    line = wall_of(VTilde.make(1, 0, 0), VTilde.make(1, -1, 1))
     assert line.slope() == -1
     assert line.y_intercept() == 0
     # horizontal y = 2
-    line = line_through(PlanePoint.make(1, 2, 2), PlanePoint.make(1, -2, 2))
+    line = wall_of(VTilde.make(1, 2, 2), VTilde.make(1, -2, 2))
     assert line.slope() == 0
     assert line.y_intercept() == 2
     with pytest.raises(PreconditionError):
-        line_through(PlanePoint.make(1, 2, 2), PlanePoint.make(2, 4, 4))
+        wall_of(VTilde.make(1, 2, 2), VTilde.make(2, 4, 4))
 
 
 def test_line_contains_is_exact():
-    p = PlanePoint.affine(F(1, 3), F(7, 5))
-    q = PlanePoint.affine(F(-2, 7), F(1, 2))
-    line = line_through(p, q)
+    p = PlanePoint.make(1, F(1, 3), F(7, 5))
+    q = PlanePoint.make(1, F(-2, 7), F(1, 2))
+    line = wall_of(VTilde.make(*p.h), VTilde.make(*q.h))
     assert line.contains(p) and line.contains(q)
-    assert not line.contains(PlanePoint.affine(F(1, 3), F(7, 5) + F(1, 10 ** 9)))
+    assert not line.contains(PlanePoint.make(1, F(1, 3), F(7, 5) + F(1, 10 ** 9)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +357,7 @@ def test_line_contains_is_exact():
 
 def test_line_parabola_secant():
     line = PlaneLine.make(0, 1, 1)  # y = -x
-    pts = line_parabola_intersect(line, ParabolaShift.make(0))
+    pts = line_parabola_intersect(line)
     assert len(pts) == 2
     (ax, ay), (bx, by) = pts
     assert ax == QuadNum(-2) and ay == QuadNum(2)
@@ -373,20 +366,20 @@ def test_line_parabola_secant():
 
 def test_line_parabola_tangent_and_miss():
     tangent = PlaneLine.make(2, -2, 1)  # y = 2x - 2
-    pts = line_parabola_intersect(tangent, ParabolaShift.make(0))
+    pts = line_parabola_intersect(tangent)
     assert len(pts) == 1
     assert pts[0][0] == QuadNum(2) and pts[0][1] == QuadNum(2)
     miss = PlaneLine.make(1, 0, 1)  # y = -1
-    assert line_parabola_intersect(miss, ParabolaShift.make(0)) == []
+    assert line_parabola_intersect(miss) == []
     with pytest.raises(PreconditionError):
-        line_parabola_intersect(PlaneLine.make(1, 0, 0), ParabolaShift.make(0))
+        line_parabola_intersect(PlaneLine.make(1, 0, 0))
 
 
 def test_line_parabola_vertical():
     line = PlaneLine.make(-3, 1, 0)  # x = 3
-    pts = line_parabola_intersect(line, ParabolaShift.make(F(1, 2)))
+    pts = line_parabola_intersect(line)
     assert len(pts) == 1
-    assert pts[0][0] == QuadNum(3) and pts[0][1] == QuadNum(5)
+    assert pts[0][0] == QuadNum(3) and pts[0][1] == QuadNum(F(9, 2))
 
 
 def test_line_parabola_symbolic_substitution():
@@ -400,46 +393,15 @@ def test_line_parabola_symbolic_substitution():
         line = PlaneLine.make(a, b, c)
         if line.is_line_at_infinity:
             continue
-        C = rand_frac(rng)
-        pts = line_parabola_intersect(line, ParabolaShift.make(C))
+        pts = line_parabola_intersect(line)
         la, lb, lc = line.coeffs
         for x, y in pts:
             assert (la + lb * x + lc * y).sign() == 0
-            assert (y - x * x * F(1, 2) - C).sign() == 0
+            assert (y - x * x * F(1, 2)).sign() == 0
         if len(pts) == 2:
             secants += 1
             assert (pts[1][0] - pts[0][0]).sign() > 0  # ordered by x
     assert secants > 150
-
-
-def test_parabola_translate_examples():
-    p = PlanePoint.affine(-1, 1)
-    assert parabola_translate(p, 0) == p
-    assert parabola_translate(p, -3) == PlanePoint.affine(-4, F(17, 2))
-    assert parabola_translate(PlanePoint.affine(0, 0), -3) == PlanePoint.affine(
-        -3, F(9, 2)
-    )
-    with pytest.raises(PreconditionError):
-        parabola_translate(PlanePoint.make(0, 1, 0), 1)
-
-
-def test_parabola_translate_preserves_shift():
-    rng = random.Random(5150)
-    for _ in range(200):
-        x, y, d = rand_frac(rng), rand_frac(rng), rand_frac(rng)
-        p = PlanePoint.affine(x, y)
-        q = parabola_translate(p, d)
-        assert q.y - q.x * q.x / 2 == y - x * x / 2
-        assert q.x == x + d
-
-
-def test_line_intersection():
-    l1 = PlaneLine.make(0, 1, 0)
-    l2 = PlaneLine.make(-1, 0, 1)
-    r = line_intersection(l1, l2)
-    assert r.affine_pair() == (0, 1)
-    with pytest.raises(PreconditionError):
-        line_intersection(l1, PlaneLine.make(0, 2, 0))
 
 
 def _floor_oracle(x: QuadNum) -> int:

@@ -23,8 +23,8 @@ from walland import (
     VTilde,
     discriminant,
     enumerate_candidate_walls,
-    line_through,
     segment_point,
+    wall_of,
 )
 
 V = VTilde.make
@@ -286,7 +286,7 @@ def test_corner_clip_matches_reference_clips():
     for _ in range(300):
         a, b = _rand_point(rng), _rand_point(rng)
         if a != b:
-            lines.append(line_through(SP(*a).plane_point(), SP(*b).plane_point()))
+            lines.append(wall_of(V(1, *a), V(1, *b)))
     regions = [
         _regions("segment", (F(1, 5), F(1, 10)), (F(4, 5), F(2, 5))),
         _regions("segment", (F(0), F(1)), (F(0), F(1))),

@@ -6,14 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from walland import (
-    ParabolaShift,
-    PlaneLine,
-    QuadNum,
-    cohomology,
-    line_parabola_intersect,
-    random_complex,
-)
+from walland import PlaneLine, QuadNum, cohomology, line_parabola_intersect, random_complex
 
 sympy = pytest.importorskip("sympy")
 
@@ -39,17 +32,37 @@ def test_quadnum_sign_against_sympy():
         assert QuadNum(a, b, d).sign() == want
 
 
+# one line per branch of line_parabola_intersect, beside the random ones
+_BRANCH_LINES = [
+    (-1, -1, 1),  # y = x + 1: secant, roots 1 -+ sqrt(3)
+    (-4, -1, 1),  # y = x + 4: secant, roots -2 and 4
+    (2, -2, 1),  # y = 2x - 2: tangent at x = 2
+    (1, 0, 1),  # y = -1: miss
+    (-3, 1, 0),  # x = 3: vertical
+]
+
+
+def _branch(line, got):
+    if line.is_vertical:
+        return "vertical"
+    if len(got) == 2:
+        return "rational secant" if got[0][0].is_rational else "irrational secant"
+    return ("miss", "tangent")[len(got)]
+
+
 def test_line_parabola_roots_against_sympy_solve():
     rng = random.Random(7002)
     x, y = sympy.symbols("x y")
-    for _ in range(60):
-        a, b, c, C = (_rand_frac(rng, 9, 4) for _ in range(4))
+    drawn = [tuple(_rand_frac(rng, 9, 4) for _ in range(3)) for _ in range(60)]
+    seen = set()
+    for a, b, c in _BRANCH_LINES + drawn:
         if b == 0 and c == 0:
             continue
         line = PlaneLine.make(a, b, c)
-        got = line_parabola_intersect(line, ParabolaShift.make(C))
+        got = line_parabola_intersect(line)
+        seen.add(_branch(line, got))
         ca, cb, cc = (sympy.Integer(k) for k in line.coeffs)
-        eqs = [ca + cb * x + cc * y, y - x**2 / 2 - _sym(C)]
+        eqs = [ca + cb * x + cc * y, y - x**2 / 2]
         want = sorted(
             (s for s in sympy.solve(eqs, [x, y], dict=True) if s[x].is_real),
             key=lambda s: float(s[x]),
@@ -58,6 +71,9 @@ def test_line_parabola_roots_against_sympy_solve():
         for (gx, gy), s in zip(got, want):
             assert sympy.simplify(_sym(gx) - s[x]) == 0
             assert sympy.simplify(_sym(gy) - s[y]) == 0
+    assert seen == {
+        "irrational secant", "rational secant", "tangent", "miss", "vertical"
+    }
 
 
 def _hom_differential_matrix(C, k):

@@ -113,7 +113,7 @@ def test_enumerate_walls_pass_through_character_point(p2):
             continue
         done += 1
         for cand in enumerate_candidate_walls(v, box, 2, 2, p2):
-            assert cand.wall.contains(v.plane_point())
+            assert cand.wall.contains(PlanePoint.make(*v.as_tuple()))
             for w in cand.witnesses:
                 assert wall_of(v, w) == cand.wall
 
