@@ -140,9 +140,11 @@ class MatrixComplex:
     its denominators, the nonzero (column, entry) pairs of L_i*d^i along each
     row and (row, entry) pairs down each column, and its numbers of nonzero
     rows and columns.  `_rank` ranks that form and `_d_rows` writes D from it.
+    `_steps` parks the steps of a `cohomology` sweep with this complex as
+    source until the calls for their degrees take them.
     """
 
-    __slots__ = ("dims", "diffs", "h", "_ints")
+    __slots__ = ("dims", "diffs", "h", "_ints", "_steps")
 
     def __init__(self, dims, diffs):
         dims = tuple(dims)
@@ -173,6 +175,7 @@ class MatrixComplex:
             self._ints[i] = (L, along, down, sum(map(bool, along)), sum(map(bool, down)))
         ranks = [0, *map(_rank, self._ints.values()), 0]
         self.h = tuple(d - ranks[i] - ranks[i + 1] for i, d in enumerate(dims))
+        self._steps = {}
 
     def __len__(self):
         return len(self.dims)
@@ -464,34 +467,52 @@ def _rank(form) -> int:
     return sum(_insert(basis, dict(pairs)) for pairs in form[1])
 
 
-def _kernel_basis(rows, n_cols: int) -> List[Dict[int, int]]:
-    """Kernel of the integer matrix with these sparse rows, as {column: int}.
+def _image_step(source, target, degree, echelon):
+    """(echelon, free, below, taken, unread): the step of `degree` of a sweep.
 
-    One vector per free column of its RREF: den * v, where v is 1 at the free
-    column and -row[free] / row[pivot] at each pivot, and den > 0 is the lcm
-    of the pivot entries it reads.  RREF rows are zero left of their pivots,
-    so den, at the free column, is the vector's last nonzero entry.
+    `echelon` spans the row space of D^degree; an echelon has the pivots of
+    the RREF, so `free` is the other columns, and a cocycle is fixed by its
+    entries there.  The image of D^(degree-1) lies in the kernel (d o d = 0),
+    so its rows at the free coordinates span its row space: inserted in
+    descending free order they build `below`, the echelon of the step of
+    degree-1, and `taken` holds those whose rows were kept.  `unread` counts
+    the nonzero columns of D^(degree-1) that no free row reads.
     """
-    basis, index = _reduced_basis(rows), {}
-    for p, row in basis.items():  # in pivot order
-        for c in row:
-            index.setdefault(c, []).append((p, row))
-    kernel = []
-    for free in range(n_cols):
-        if free not in basis:
-            reads = index.get(free, [])
-            den = lcm(*[row[p] for p, row in reads])
-            kernel.append({**{p: -row[free] * (den // row[p]) for p, row in reads}, free: den})
-    return kernel
+    _, rows, nonzero = _d_rows(source, target, degree - 1)  # one row per coordinate of Hom^degree
+    free = [c for c in range(len(rows)) if c not in echelon]
+    image = [rows[f] for f in reversed(free)]
+    below = {}
+    taken = {f for f, row in zip(reversed(free), image) if _insert(below, row)}
+    return echelon, free, below, taken, nonzero - len(set().union(*image))
+
+
+def _solve(echelon, free: int) -> Tuple[Dict[int, int], int]:
+    """(v, den): v / den is the kernel vector that is 1 at free, 0 at the other free columns.
+
+    Back substitution in ints, from the last pivot up: a row is zero left of
+    its pivot, so the entries it reads right of it are known.  den > 0.
+    """
+    v, den = {free: 1}, 1
+    for p in sorted(echelon, reverse=True):
+        row = echelon[p]
+        s = sum([y * v[c] for c, y in row.items() if c in v])
+        if s:  # row[p] * x[p] = -s / den
+            g = gcd(s, row[p])
+            m = abs(row[p]) // g
+            if m != 1:
+                v, den = {c: m * y for c, y in v.items()}, den * m
+            v[p] = -s // g if row[p] > 0 else s // g
+    return v, den
 
 
 class CohomologyGroup:
     """Ext group of the Hom complex in one degree, with witnesses.
 
     `reps` are cocycles whose classes form a basis of the group, `cocycles` a
-    basis of ker D^degree, and `coboundaries` the nonzero RREF rows of
-    im D^(degree-1); each is a list of HomCochains.  The last two are given
-    as functions that build them, each called on first access, once.
+    basis of ker D^degree, one per free column, 1 there and 0 at the other
+    free columns, and `coboundaries` the nonzero RREF rows of im D^(degree-1);
+    each is a list of HomCochains.  The last two are given as functions that
+    build them, each called on first access, once.
     """
 
     __slots__ = ("degree", "dim", "ker_dim", "im_dim", "reps", "_cocycles", "_coboundaries")
@@ -537,36 +558,43 @@ class CohomologyGroup:
 def cohomology(source: MatrixComplex, target: MatrixComplex, degree: int) -> CohomologyGroup:
     """ker D^degree / im D^(degree-1), exactly, with cocycle witnesses.
 
-    D is the sparse integer rows of `_d_rows`.  The kernel basis comes from
-    the RREF of D^degree: vector j is den_j at its free column, its last
-    nonzero entry, and zero at the other free columns, so a cocycle is fixed
-    by its entries there.  The image lies in the kernel (d o d = 0), so only
-    the rows of D^(degree-1) at the free coordinates are taken, and inserted
-    in descending free order: the image takes coordinate f when its row is
-    independent of those before.  The representatives are the kernel
-    vectors, in order, whose free column is not taken.  The dimension must
-    equal the Kunneth sum.  Only the representatives become cochains here;
-    the group builds the cocycles, and the coboundaries from the RREF of the
+    D is the sparse integer rows of `_d_rows`, and no call row-reduces all
+    of D^degree: the group is read off the image step of `degree`
+    (`_image_step`), and the steps are walked in a loop from the highest
+    degree with Hom != 0, where D has no rows, down to this one.  The steps
+    above it are parked on the source (`MatrixComplex._steps`) and each call
+    takes its own out, so a sweep up through the degrees builds and
+    eliminates each D once; a lone call for a low degree does the steps of
+    every degree above it.  The representatives are the cocycles, in order,
+    whose free column the image does not take; a cocycle is 1 at its free
+    column and 0 at the others (`_solve`).  Every nonzero column of
+    D^(degree-1) must be read by a free row, and the dimension must equal
+    the Kunneth sum.  Only the representatives become cochains here; the
+    group builds the cocycles, and the coboundaries from the RREF of the
     transposed rows of D^(degree-1), when they are first read.
     """
     degree = _degree(degree)
     layout = _basis_layout(source, target, degree)
     n = sum(r * c for _, r, c in layout)
-    kernel = _kernel_basis(_d_rows(source, target, degree)[1], n)
-    free = [max(v) for v in kernel]
-    _, rows, nonzero = _d_rows(source, target, degree - 1)
-    image = [rows[f] for f in free[::-1]]
-    # a nonzero column that no free row reads would be a cocycle zero at every free column
-    if len(set().union(*image)) != nonzero:
-        raise InvariantError(f"degree {degree}: a coboundary is not a cocycle")
-    basis = {}
-    taken = {f for f, row in zip(free[::-1], image) if _insert(basis, row)}
-    reps = []
-    for vec, f in zip(kernel, free):
-        if f not in taken:
-            taken.add(f)
-            reps.append(vec)
-    dim = len(kernel) - len(basis)
+    # a parked entry holds its target, so the id names no other complex
+    step = source._steps.pop((id(target), degree), (None, None))[1]
+    if step is None:
+        # D^top has no rows, Hom^(top+1) being 0; D^degree has no columns if Hom^degree is
+        top = max(
+            k for k in range(degree, len(target))
+            if any(r * c for _, r, c in _basis_layout(source, target, k))
+        ) if n else degree
+        below = {}
+        for k in range(top, degree - 1, -1):
+            step = _image_step(source, target, k, below)
+            if step[-1]:  # a coboundary zero at every free column, so no cocycle
+                raise InvariantError(f"degree {k}: a coboundary is not a cocycle")
+            below = step[2]
+            if k > degree:
+                source._steps[id(target), k] = (target, step)
+    echelon, free, below, taken, _ = step
+    reps = [f for f in free if f not in taken]
+    dim = len(free) - len(below)
     if len(reps) != dim:
         raise InvariantError(f"degree {degree}: {len(reps)} representatives, dimension {dim}")
     kunneth = sum(source.h[i] * target.h[i + degree] for i, _, _ in layout)
@@ -578,9 +606,6 @@ def cohomology(source: MatrixComplex, target: MatrixComplex, degree: int) -> Coh
         dense = [[Fraction(v[j], d) if j in v else zero for j in range(n)] for v, d in pairs]
         return [_unflatten(source, target, degree, layout, v) for v in dense]
 
-    def cocycles(vecs):  # a kernel vector over its last nonzero entry
-        return cochains((v, v[max(v)]) for v in vecs)
-
     def coboundaries():  # the RREF of the columns of D^(degree-1)
         cols = {}
         for j, row in enumerate(_d_rows(source, target, degree - 1)[1]):
@@ -590,8 +615,8 @@ def cohomology(source: MatrixComplex, target: MatrixComplex, degree: int) -> Coh
         return cochains((row, row[p]) for p, row in rref.items())
 
     return CohomologyGroup(
-        degree, dim, len(kernel), len(basis), cocycles(reps),
-        lambda: cocycles(kernel), coboundaries,
+        degree, dim, len(free), len(below), cochains(_solve(echelon, f) for f in reps),
+        lambda: cochains(_solve(echelon, f) for f in free), coboundaries,
     )
 
 

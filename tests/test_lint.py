@@ -226,8 +226,9 @@ def test_floats_only_in_display_code():
 def test_one_hom_differential_formula():
     # each complex reads its differentials in integers once, into _ints in
     # MatrixComplex.__init__; D is written out from those integer forms only
-    # in traces._d_rows; hom_differential multiplies the rows it returns, and
-    # cohomology eliminates them
+    # in traces._d_rows; hom_differential multiplies the rows it returns, the
+    # image step of cohomology eliminates them, and the lazy coboundaries of
+    # cohomology transpose them
     int_form = {
         (name, func, type(node.ctx).__name__)
         for name, func, node in _top_level_nodes()
@@ -258,7 +259,11 @@ def test_one_hom_differential_formula():
         for name, func, node in _nodes()
         if isinstance(node, ast.Call) and _callee(node) == "_d_rows"
     }
-    assert {("traces.py", "hom_differential"), ("traces.py", "cohomology")} <= d_rows_callers
+    assert d_rows_callers == {
+        ("traces.py", "hom_differential"),
+        ("traces.py", "_image_step"),
+        ("traces.py", "coboundaries"),
+    }
     # _d_rows writes every row; a caller takes the rows it needs
     d_rows = [
         node for name, _, node in _nodes()
@@ -314,7 +319,7 @@ def test_trusted_rows_enter_mat_once():
         (func, _callee(node))
         for name, func, node in _nodes()
         if name == "traces.py"
-        and func in ("cohomology", "_reduced_basis", "_insert", "_cancel", "_kernel_basis", "_rank")
+        and func in ("cohomology", "_reduced_basis", "_insert", "_cancel", "_image_step", "_solve", "_rank")
         and isinstance(node, ast.Call)
         and _callee(node) in ("parse_frac", "Mat")
     )
@@ -323,8 +328,9 @@ def test_trusted_rows_enter_mat_once():
 
 def test_one_elimination_routine():
     # every integer row operation is _cancel inside the row insertion or the
-    # back substitution; the kernel, the image test and the ranks of the
-    # differentials all go through _insert, not through rows of their own
+    # back substitution of the RREF; the image step, which also finds the
+    # kernel's free columns, and the ranks of the differentials go through
+    # _insert, not through rows of their own
     callers = {
         (name, func)
         for name, func, node in _top_level_calls()
@@ -339,10 +345,32 @@ def test_one_elimination_routine():
     assert inserters == {
         ("traces.py", "_reduced_basis"),
         ("traces.py", "_rank"),
-        ("traces.py", "cohomology"),
+        ("traces.py", "_image_step"),
     }
     defs = {node.name for name, _, node in _nodes() if isinstance(node, ast.FunctionDef)}
-    assert not defs & {"_d_columns", "_echelon", "_back_substitute", "_rref"}
+    assert not defs & {"_d_columns", "_echelon", "_back_substitute", "_rref", "_kernel_basis"}
+
+
+def test_cohomology_runs_no_full_row_elimination():
+    # a call to cohomology reduces only the rows of D^(degree-1) at the free
+    # coordinates (_image_step); the RREF of whole matrices (_reduced_basis)
+    # runs only in the lazy coboundaries, which cohomology defines and does
+    # not call
+    reducers = {
+        (name, func)
+        for name, func, node in _nodes()
+        if isinstance(node, ast.Call) and _callee(node) == "_reduced_basis"
+    }
+    assert reducers == {("traces.py", "coboundaries")}
+    assert {
+        (name, func)
+        for name, func, node in _top_level_calls()
+        if _callee(node) == "_reduced_basis"
+    } == {("traces.py", "cohomology")}
+    assert not [
+        node for name, func, node in _top_level_calls()
+        if func == "cohomology" and _callee(node) == "coboundaries"
+    ]
 
 
 def test_one_integer_wall_decision():

@@ -253,25 +253,24 @@ def test_cohomology_identity_differential_two_term():
 
 def test_cohomology_out_of_support_degree():
     C = two_term(0)
-    far = cohomology(C, C, 5)
-    assert far.dim == far.ker_dim == far.im_dim == 0
-    assert far.reps == [] and far.cocycles == [] and far.coboundaries == []
+    for k in (5, -5, 10**9, -(10**9)):  # Hom^k = 0: one step, whatever k is
+        far = cohomology(C, C, k)
+        assert far.dim == far.ker_dim == far.im_dim == 0
+        assert far.reps == [] and far.cocycles == [] and far.coboundaries == []
+    assert C._steps == {}
 
 
 def test_cohomology_dimension_mismatch_raises(monkeypatch):
-    # a kernel basis with a repeated vector overstates the group dimension;
-    # the check is a raised error, so it holds under python -O too
+    # an insertion that reports a row as kept but does not keep it takes a
+    # free coordinate for the image without a pivot, so the representatives
+    # fall short of the dimension; the check is a raised error, so it holds
+    # under python -O too
     import walland.traces as traces
 
-    real = traces._kernel_basis
-
-    def repeated_first(*args):
-        basis = real(*args)
-        return basis + basis[:1]
-
-    monkeypatch.setattr(traces, "_kernel_basis", repeated_first)
-    with pytest.raises(InvariantError, match="degree 0: 2 representatives, dimension 3"):
-        cohomology(two_term(0), two_term(0), 0)
+    C = two_term(0)  # made first: its ranks go through _insert too
+    monkeypatch.setattr(traces, "_insert", lambda basis, row: True)
+    with pytest.raises(InvariantError, match="degree 0: 0 representatives, dimension 2"):
+        cohomology(C, C, 0)
 
 
 def test_cohomology_builds_witnesses_on_demand(monkeypatch):
@@ -364,21 +363,104 @@ def test_cohomology_dimensions_against_kunneth():
 
 
 def test_cohomology_kunneth_check_raises(monkeypatch):
-    # a kernel basis one vector short still has as many representatives as
-    # its dimension says; the Kunneth sum, from the ranks of the complexes'
-    # own differentials, refuses it, and so it refuses wrong ranks
+    # a pivot that D^0 does not have leaves the kernel one free column short,
+    # with as many representatives as its dimension says; the Kunneth sum,
+    # from the ranks of the complexes' own differentials, refuses it, and so
+    # it refuses wrong ranks
     import walland.traces as traces
 
-    real = traces._kernel_basis
-    monkeypatch.setattr(traces, "_kernel_basis", lambda *args: real(*args)[:-1])
+    real, phantom = traces._insert, []
+
+    def one_phantom_pivot(basis, row):
+        # the first row inserted, the zero row of D^0, is kept as a unit row
+        if phantom:
+            return real(basis, row)
+        phantom.append(row)
+        basis[0] = {0: 1}
+        return True
+
+    C = two_term(0)  # made first: its ranks go through _insert too
+    monkeypatch.setattr(traces, "_insert", one_phantom_pivot)
     with pytest.raises(InvariantError, match="degree 0: dimension 1, Kunneth sum 2"):
-        cohomology(two_term(0), two_term(0), 0)
+        cohomology(C, C, 0)
     monkeypatch.undo()
     monkeypatch.setattr(traces, "_rank", lambda m: 0)
     C = two_term(1)  # h = (1, 1) now, though the cohomology is zero
     with pytest.raises(InvariantError, match="degree 0: dimension 0, Kunneth sum 2"):
         cohomology(C, C, 0)
 
+
+def _documents(calls):
+    # (id(target), degree) -> to_dict(), cocycles and coboundaries of each call
+    docs = {}
+    for S, T, d in calls:
+        g = cohomology(S, T, d)
+        docs[id(T), d] = [g.to_dict(), [f.to_dict() for f in g.cocycles],
+                          [f.to_dict() for f in g.coboundaries]]
+    return docs
+
+
+def test_cohomology_is_independent_of_call_order():
+    # the steps a call parks for the degrees above it give the groups a fresh
+    # sweep gives, in any order, and with a second target on the same source
+    # (the pairs and degrees of COHOMOLOGY_DIGEST)
+    rng = random.Random(26)
+    degrees = range(-6, 7)
+    for seed in range(300):
+        draw = random.Random(seed)
+        A, B = random_complex(draw), random_complex(draw)
+        up = {**_documents((A, A, d) for d in degrees), **_documents((A, B, d) for d in degrees)}
+        shuffled = [(A, T, d) for T in (A, B) for d in degrees]
+        rng.shuffle(shuffled)
+        for calls in (
+            [(A, T, d) for T in (A, B) for d in reversed(degrees)],
+            shuffled,
+            [(A, T, d) for d in degrees for T in (A, B)],
+            [(A, T, d) for d in reversed(degrees) for T in (B, A)],
+        ):
+            assert _documents(calls) == up, seed
+
+
+def test_cohomology_sweeps_carry_nothing_over(monkeypatch):
+    # a sweep up through the degrees builds each D once and eliminates only
+    # the rows of the image steps; the next sweep does the same work again,
+    # and no step is left parked after either
+    import walland.traces as traces
+
+    C = random_complex(random.Random(16))  # dims (3, 3, 2, 3), h = (2, 0, 0, 3)
+    counts = {"_insert": 0, "_d_rows": 0, "_reduced_basis": 0}
+    for name in counts:
+        def counted(*args, real=getattr(traces, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(traces, name, counted)
+    degrees = range(1 - len(C), len(C))
+    seen = []
+    for _ in range(2):
+        groups = [cohomology(C, C, d) for d in degrees]
+        assert all(len(g.cocycles) == g.ker_dim for g in groups)
+        seen.append(dict(counts))
+        assert C._steps == {}
+        for name in counts:
+            counts[name] = 0
+    assert seen[0] == seen[1]
+    assert seen[0]["_d_rows"] == len(degrees) and seen[0]["_reduced_basis"] == 0
+    assert seen[0]["_insert"] > 0
+    assert sum(g.dim for g in groups) > 0
+    groups[0].coboundaries  # the one full-row elimination, on first access
+    assert counts["_reduced_basis"] == 1
+
+
+def test_cohomology_walks_its_steps_in_a_loop():
+    # Hom^k(Q, T) = T^k: 1500 nonzero degrees, more steps than the default
+    # recursion limit, all walked by the call for degree 0
+    S = MatrixComplex((1,), ())
+    T = MatrixComplex((1,) * 1500, (Mat.zero(1, 1),) * 1499)
+    g = cohomology(S, T, 0)
+    assert (g.dim, g.ker_dim, g.im_dim) == (1, 1, 0)
+    assert len(S._steps) == 1499
+    assert all(cohomology(S, T, k).dim == 1 for k in range(1, 1500))
+    assert S._steps == {}
 
 
 def test_differentials_are_read_in_integers_once(monkeypatch):
