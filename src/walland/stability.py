@@ -4,7 +4,7 @@ A parameter point (s, q) strictly above the parabola q = s^2/2 defines the
 charge Z(v) = (-v2 + q*v0) + i*(v1 - s*v0) on projected characters.  Phases
 are never evaluated transcendentally: each phase is carried as an exact ray
 (the charge direction) plus, where needed, an integer half-turn count, and
-all order decisions reduce to sign computations on cross products.
+every order is decided on a half-turn index and one cross sign (`_phase_order`).
 """
 
 from __future__ import annotations
@@ -92,11 +92,9 @@ class HeartPosition(enum.Enum):
 def heart_sign_check(P: StabPoint, v: VTilde) -> HeartPosition:
     """Necessary numeric condition for membership in the tilted heart."""
     z = central_charge(P, v)
-    if z.im > 0:
-        return HeartPosition.StrictUpper
-    if z.im == 0 and z.re < 0:
-        return HeartPosition.NegativeRealAxis
-    return HeartPosition.Fails
+    if z.is_zero or not _upper(z):
+        return HeartPosition.Fails
+    return HeartPosition.StrictUpper if z.im else HeartPosition.NegativeRealAxis
 
 
 def canonical_ray(x, y):
@@ -124,44 +122,43 @@ def _ray_at(R, X):
     return (re // h, im // h)
 
 
-def _neg_ray(ray):
-    return (-ray[0], -ray[1])
-
-
 def ray_cross_sign(r1, r2) -> int:
     """Sign of r1 x r2; entries may be ints, Fractions or QuadNums of one radicand."""
     return sign_of(r1[0] * r2[1] - r1[1] * r2[0])
 
 
-def ray_dot_sign(r1, r2) -> int:
-    # r1 . r2 = r1 x (i*r2)
-    return ray_cross_sign(r1, (-r2[1], r2[0]))
-
-
-def _theta_bucket(ray) -> int:
-    # principal angle/pi in (-1, 1]: lower half < positive axis < upper < negative axis
+def _upper(ray) -> bool:
+    """theta(ray) in (0, 1]: Im > 0, or Im = 0 and Re < 0, the heart half plane."""
     sy = sign_of(ray[1])
-    if sy < 0:
-        return 0
-    if sy > 0:
-        return 2
+    if sy:
+        return sy > 0
     sx = sign_of(ray[0])
-    if sx > 0:
-        return 1
-    if sx < 0:
-        return 3
-    raise ZeroChargeError("zero ray has no direction")
+    if not sx:
+        raise ZeroChargeError("zero ray has no direction")
+    return sx < 0
+
+
+def _phase_order(n1, r1, n2, r2) -> int:
+    """Exact order of the lifted phases n1 + theta(r1) and n2 + theta(r2): -1, 0 or +1.
+
+    n + theta lies in (j - 1, j] for the half-turn index j = n + [theta in
+    (0, 1]], so unequal indices decide.  At one index, each ray turned into
+    the upper half plane (itself, or its negation when theta <= 0) has
+    angle/pi in (0, 1], and the negated cross sign of the turned rays
+    orders them: turning both rays keeps their cross sign, turning one
+    flips it.
+    """
+    u1, u2 = _upper(r1), _upper(r2)
+    j1, j2 = n1 + u1, n2 + u2
+    if j1 != j2:
+        return -1 if j1 < j2 else 1
+    c = ray_cross_sign(r1, r2)
+    return c if u1 != u2 else -c
 
 
 def theta_compare(r1, r2) -> int:
     """Exact order of principal angles in (-1, 1]; entries may be QuadNum."""
-    b1, b2 = _theta_bucket(r1), _theta_bucket(r2)
-    if b1 != b2:
-        return -1 if b1 < b2 else 1
-    if b1 in (1, 3):
-        return 0
-    # same open half plane: cross sign decides
-    return -ray_cross_sign(r1, r2)
+    return _phase_order(0, r1, 0, r2)
 
 
 def theta_approx(ray) -> float:
@@ -188,27 +185,16 @@ class LiftedPhase:
     __slots__ = ("n", "ray")
 
     def __init__(self, n: int, ray):
+        # an int: a bool or a float is refused, never let decide an order
+        if type(n) is not int:
+            raise PreconditionError(f"half-turn count must be an int, not {n!r}")
         if sign_of(ray[0]) == 0 and sign_of(ray[1]) == 0:
             raise ZeroChargeError("zero ray has no phase")
         self.n = n
         self.ray = (ray[0], ray[1])
 
     def compare(self, other: "LiftedPhase") -> int:
-        dn = self.n - other.n
-        if dn == 0:
-            return theta_compare(self.ray, other.ray)
-        if dn >= 2:
-            return 1
-        if dn <= -2:
-            return -1
-        if dn == 1:
-            # theta1 + 1 vs theta2: wraps unless theta1 <= 0
-            if _theta_bucket(self.ray) >= 2:
-                return 1
-            return theta_compare(_neg_ray(self.ray), other.ray)
-        if _theta_bucket(other.ray) >= 2:
-            return -1
-        return theta_compare(self.ray, _neg_ray(other.ray))
+        return _phase_order(self.n, self.ray, other.n, other.ray)
 
     def __eq__(self, other):
         return isinstance(other, LiftedPhase) and self.compare(other) == 0
@@ -239,15 +225,16 @@ class LiftedPhase:
         """
         if sign_of(new_ray[0]) == 0 and sign_of(new_ray[1]) == 0:
             raise ZeroChargeError("cannot transport onto a zero ray")
+        # a turn to the left (cross > 0) ends above the start phase and one to
+        # the right below it: at this n if the order of the rays at one n
+        # agrees, else one full turn (n +- 2) away
         cross = ray_cross_sign(self.ray, new_ray)
-        if cross == 0:
-            if ray_dot_sign(self.ray, new_ray) > 0:
-                return LiftedPhase(self.n, new_ray)
-            raise DegenerateGeometryError("half-turn rotation has no unique lift")
-        t = theta_compare(new_ray, self.ray)
-        if cross > 0:
-            return LiftedPhase(self.n if t > 0 else self.n + 2, new_ray)
-        return LiftedPhase(self.n if t < 0 else self.n - 2, new_ray)
+        n = self.n
+        if _phase_order(n, new_ray, n, self.ray) != cross:
+            if not cross:  # anti-parallel: not the same phase
+                raise DegenerateGeometryError("half-turn rotation has no unique lift")
+            n += 2 * cross
+        return LiftedPhase(n, new_ray)
 
     def approx(self) -> float:
         return self.n + theta_approx(self.ray)
@@ -284,7 +271,7 @@ def _heart_charge(P: StabPoint, v: VTilde) -> ChargeValue:
     z = central_charge(P, v)
     if z.is_zero:
         raise ZeroChargeError("kernel character has no phase")
-    if heart_sign_check(P, v) is HeartPosition.Fails:
+    if not _upper(z):
         raise NotInHeartError(
             f"charge ({z.re}, {z.im}) below the heart half plane at ({P.s}, {P.q})"
         )

@@ -137,9 +137,9 @@ class MatrixComplex:
     """Terms in degrees 0..n-1 with differentials raising degree by one; h[i] = dim H^i.
 
     Each d^i is read in integers here, once, into `_ints[i]`: L_i, the lcm of
-    its denominators, the nonzero (column, entry) pairs of L_i*d^i along each
-    row and (row, entry) pairs down each column, and its numbers of nonzero
-    rows and columns.  `_rank` ranks that form and `_d_rows` writes D from it.
+    its denominators, and the nonzero (column, entry) pairs of L_i*d^i along
+    each row and (row, entry) pairs down each column.  `_rank` ranks that
+    form and `_d_rows` writes D from it.
     `_steps` parks the steps of a `cohomology` sweep with this complex as
     source until the calls for their degrees take them.
     """
@@ -172,7 +172,7 @@ class MatrixComplex:
             rows = [_scaled(row, L) for row in d.data]
             along = [[(x, y) for x, y in enumerate(row) if y] for row in rows]
             down = [[(a, row[b]) for a, row in enumerate(rows) if row[b]] for b in range(d.cols)]
-            self._ints[i] = (L, along, down, sum(map(bool, along)), sum(map(bool, down)))
+            self._ints[i] = (L, along, down)
         ranks = [0, *map(_rank, self._ints.values()), 0]
         self.h = tuple(d - ranks[i] - ranks[i + 1] for i, d in enumerate(dims))
         self._steps = {}
@@ -297,7 +297,7 @@ def hom_differential(f: HomCochain) -> HomCochain:
     """
     k = f.degree
     x = _flatten(f, _basis_layout(f.source, f.target, k))
-    L, rows, _ = _d_rows(f.source, f.target, k)
+    L, rows = _d_rows(f.source, f.target, k)
     vec = [sum([y * x[c] for c, y in row.items()], Fraction(0)) / L for row in rows]
     return _unflatten(f.source, f.target, k + 1, _basis_layout(f.source, f.target, k + 1), vec)
 
@@ -369,8 +369,8 @@ def _unflatten(source, target, degree, layout, vec: List[Fraction]) -> HomCochai
     return HomCochain(source, target, degree, comps)
 
 
-def _d_rows(source, target, degree) -> Tuple[int, List[Dict[int, int]], int]:
-    """L, the rows of L*D^degree as {column: nonzero int}, and its nonzero column count.
+def _d_rows(source, target, degree) -> Tuple[int, List[Dict[int, int]]]:
+    """L and the rows of L*D^degree as {column: nonzero int}.
 
     D is written from the integer forms `_ints` the complexes made of their
     differentials: L is the lcm of the L_i of the forms it uses, and each
@@ -378,13 +378,11 @@ def _d_rows(source, target, degree) -> Tuple[int, List[Dict[int, int]], int]:
     kernel and row space of D.  One row per coordinate of Hom^(degree+1),
     all of them, in order.  For d_t = d_target, d_s = d_source and
     k = degree, row (i, a, b) holds d_t^(i+k)[a][x] at input (i, x, b) and
-    -(-1)^k d_s^i[y][b] at input (i+1, a, y).  So column (i, a, b) is zero
-    exactly when column a of d_t^(i+k) and row b of d_s^(i-1) are, which
-    land in different outputs.
+    -(-1)^k d_s^i[y][b] at input (i+1, a, y).
     """
     k = degree
-    offset, n, layout = {}, 0, _basis_layout(source, target, k)
-    for i, r, c in layout:
+    offset, n = {}, 0
+    for i, r, c in _basis_layout(source, target, k):
         offset[i], n = n, n + r * c
     blocks = [
         (i, r, c, target._ints.get(i + k), source._ints.get(i))
@@ -392,10 +390,10 @@ def _d_rows(source, target, degree) -> Tuple[int, List[Dict[int, int]], int]:
     ]
     L = lcm(*[d[0] for *_, t, s in blocks for d in (t, s) if d])
     sign = -1 if k % 2 == 0 else 1  # -(-1)^k, the sign of d_s
-    rows, na, nb = [], {}, {}  # nonzero columns of d_t, rows of d_s
+    rows = []
     for i, r, c, d_t, d_s in blocks:
-        L_t, along_t, _, _, na[i] = d_t or (1, (), (), 0, 0)  # a missing d is the empty form
-        L_s, along_s, down_s, nb[i + 1], _ = d_s or (1, (), (), 0, 0)
+        L_t, along_t, _ = d_t or (1, (), ())  # a missing d is the empty form
+        L_s, along_s, down_s = d_s or (1, (), ())
         f_t, f_s = L // L_t, sign * (L // L_s)
         # (column, entry) pairs at b = 0 and a = 0: along row a of d_t, down column b of d_s
         t = [[(offset[i] + x * c, y * f_t) for x, y in pairs] for pairs in along_t] or [()] * r
@@ -406,8 +404,7 @@ def _d_rows(source, target, degree) -> Tuple[int, List[Dict[int, int]], int]:
                 row = {col + b: y for col, y in t[a]}
                 row.update({col + a * c_s: v for col, v in s[b]})
                 rows.append(row)
-    nonzero = sum(r * c - (r - na.get(i, 0)) * (c - nb.get(i, 0)) for i, r, c in layout)
-    return L, rows, nonzero
+    return L, rows
 
 
 def _cancel(row: Dict[int, int], top: Dict[int, int], col: int) -> Dict[int, int]:
@@ -476,14 +473,15 @@ def _image_step(source, target, degree, echelon):
     so its rows at the free coordinates span its row space: inserted in
     descending free order they build `below`, the echelon of the step of
     degree-1, and `taken` holds those whose rows were kept.  `unread` counts
-    the nonzero columns of D^(degree-1) that no free row reads.
+    the nonzero columns of D^(degree-1), among all its rows, that no free
+    row reads.
     """
-    _, rows, nonzero = _d_rows(source, target, degree - 1)  # one row per coordinate of Hom^degree
+    _, rows = _d_rows(source, target, degree - 1)  # one row per coordinate of Hom^degree
     free = [c for c in range(len(rows)) if c not in echelon]
     image = [rows[f] for f in reversed(free)]
     below = {}
     taken = {f for f, row in zip(reversed(free), image) if _insert(below, row)}
-    return echelon, free, below, taken, nonzero - len(set().union(*image))
+    return echelon, free, below, taken, len(set().union(*rows)) - len(set().union(*image))
 
 
 def _solve(echelon, free: int) -> Tuple[Dict[int, int], int]:

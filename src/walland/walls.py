@@ -845,17 +845,17 @@ def _certificate(P, v, ch, L) -> Ext2Certificate:
     ch and L, and the dual branch passes v2 = vtilde(ch2, L2), negated with
     ch2, on the mirror L2, whose H.K is L's.
     """
-    if heart_sign_check(P, v) is HeartPosition.Fails:
+    heart = heart_sign_check(P, v)
+    if heart is HeartPosition.Fails:
         raise PreconditionError("character fails the heart sign test at P")
     if discriminant(v) < 0:
         raise PreconditionError("character has negative discriminant")
-
-    if v.v0 != 0:
-        x_v = v.v1 / v.v0
-        if P.s == x_v:
-            return _nearby_certificate(P, v, ch, L)
-        if P.s > x_v:
-            return _dual_certificate(P, v, ch, L)
+    # Im Z(v) = v0*(v1/v0 - s) for v0 != 0: P.s = v1/v0 on the real axis,
+    # and with Im Z > 0, P.s > v1/v0 exactly when v0 < 0
+    if v.v0 and heart is HeartPosition.NegativeRealAxis:
+        return _nearby_certificate(P, v, ch, L)
+    if v.v0 < 0:
+        return _dual_certificate(P, v, ch, L)
     return _left_certificate(P, v, ch, L)
 
 

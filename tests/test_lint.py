@@ -417,6 +417,69 @@ def test_walls_decide_on_integer_triples():
         in banned
     )
     assert calls == []
+    # the certificate's branch is read off the heart position and the sign
+    # of v0: Im Z(v) = v0*(v1/v0 - s), so no slope v1/v0 is divided out
+    (cert,) = [
+        node for name, _, node in _nodes()
+        if name == "walls.py"
+        and isinstance(node, ast.FunctionDef)
+        and node.name == "_certificate"
+    ]
+    divisions = [
+        node.lineno for node in ast.walk(cert)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert divisions == []
+
+
+def _y_entry(node) -> bool:
+    # the imaginary part of a ray or a charge: r[1] or z.im
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.slice, ast.Constant) and node.slice.value == 1
+    return isinstance(node, ast.Attribute) and node.attr == "im"
+
+
+def test_one_phase_order():
+    # one helper orders lifted phases, on the half-turn index
+    # j = n + [theta in (0, 1]]; theta_compare is its case n = 0
+    calls = {
+        (func, _callee(node)) for name, func, node in _top_level_calls() if name == "stability.py"
+    }
+    for func in ("theta_compare", "LiftedPhase.compare", "LiftedPhase.transport"):
+        assert (func, "_phase_order") in calls, func
+    # the helper and its half-plane predicate alone read the sign of a y
+    # entry (a zero test, as in the zero-ray refusals, reads no sign)
+    tree = ast.parse((SRC / "stability.py").read_text(encoding="utf-8"))
+    zero_tested = {
+        id(node.left)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and all(isinstance(c, ast.Constant) and c.value == 0 for c in node.comparators)
+    }
+    order = (ast.Lt, ast.Gt, ast.LtE, ast.GtE)
+    readers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if (
+            isinstance(node, ast.Call) and _callee(node) == "sign_of"
+            and _y_entry(node.args[0]) and id(node) not in zero_tested
+            or isinstance(node, ast.Compare) and any(isinstance(op, order) for op in node.ops)
+            and any(_y_entry(x) for x in (node.left, *node.comparators))
+        )
+    }
+    assert "_upper" in readers and readers <= {"_phase_order", "_upper"}, readers
+    # the bucketed order, its dot-sign transport and its ray negation are gone
+    retired = {"_theta_bucket", "ray_dot_sign", "_neg_ray"}
+    defs = [
+        (name, node.name)
+        for name, _, node in _nodes()
+        if isinstance(node, ast.FunctionDef) and node.name in retired
+    ]
+    assert defs == []
+    assert retired.isdisjoint(walland.__all__)
 
 
 def test_object_chord_geometry_retired():

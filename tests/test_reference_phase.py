@@ -3,8 +3,9 @@
 `reference_phase` keeps the window as it was decided in QuadNum arithmetic.
 The production window must print the same JSON or raise the same error,
 with the same message, on seeded windows of every shape the decisions
-branch on; QuadNum signs and ray cross and dot signs must equal the signs
-of the old Fraction and QuadNum products.
+branch on; QuadNum signs and ray cross signs must equal the signs of the
+old Fraction and QuadNum products.  The order of lifted phases, decided on
+one half-turn index, must agree with the reference's bucketed order.
 """
 
 import random
@@ -13,16 +14,18 @@ from fractions import Fraction as F
 
 import reference_phase as ref
 from walland import (
+    LiftedPhase,
     MixedRadicalError,
     QuadNum,
     StabPoint,
     VTilde,
     WallandError,
     phase_bound_interval,
+    theta_compare,
 )
 from walland.jsonio import dumps_canonical
 from walland.plane import _sign_root
-from walland.stability import ray_cross_sign, ray_dot_sign
+from walland.stability import ray_cross_sign
 
 from conftest import rand_frac, rand_stab
 
@@ -146,37 +149,92 @@ def _quad_sign(x):
     return (x > 0) - (x < 0)
 
 
+RADICANDS = (2, 3, F(5, 4), F(2, 9), 8)
+
+
+def _entry(rng, d, same=0.9):
+    # an int, a Fraction or a QuadNum of radicand d, or of another with odds 1 - same
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-2, 2)
+    if kind == 1:
+        return rand_frac(rng, 3, 2)
+    b = rng.choice((0, -1, 1, F(1, 2)))
+    return QuadNum(rand_frac(rng, 3, 2), b, d if rng.random() < same else rng.choice(RADICANDS))
+
+
 def _sign_or_mixed(fn):
+    # fn(), "mixed" for two radicands, or the name of another refusal
     try:
         return fn()
     except MixedRadicalError:
         return "mixed"
+    except WallandError as exc:
+        return type(exc).__name__
 
 
 def test_ray_signs_match_quadnum_arithmetic():
-    # cross and dot signs of rays of ints, Fractions and QuadNums are those
-    # of the QuadNum products under the reference sign, two radicands included
+    # cross signs of rays of ints, Fractions and QuadNums are those of the
+    # QuadNum products under the reference sign, two radicands included
     rng = random.Random(2204)
-    radicands = (2, 3, F(5, 4), F(2, 9), 8)
-
-    def entry(d):
-        kind = rng.randrange(4)
-        if kind == 0:
-            return rng.randint(-2, 2)
-        if kind == 1:
-            return rand_frac(rng, 3, 2)
-        b = rng.choice((0, -1, 1, F(1, 2)))
-        return QuadNum(rand_frac(rng, 3, 2), b, d if rng.random() < 0.9 else rng.choice(radicands))
-
     seen = Counter()
     for _ in range(3000):
-        d = rng.choice(radicands)
-        r1, r2 = (entry(d), entry(d)), (entry(d), entry(d))
-        for fn, old in (
-            (ray_cross_sign, lambda: _quad_sign(r1[0] * r2[1] - r1[1] * r2[0])),
-            (ray_dot_sign, lambda: _quad_sign(r1[0] * r2[0] + r1[1] * r2[1])),
-        ):
-            want = _sign_or_mixed(old)
-            assert _sign_or_mixed(lambda: fn(r1, r2)) == want, (r1, r2)
-            seen[want] += 1
+        d = rng.choice(RADICANDS)
+        r1, r2 = (_entry(rng, d), _entry(rng, d)), (_entry(rng, d), _entry(rng, d))
+        want = _sign_or_mixed(lambda: _quad_sign(r1[0] * r2[1] - r1[1] * r2[0]))
+        assert _sign_or_mixed(lambda: ray_cross_sign(r1, r2)) == want, (r1, r2)
+        seen[want] += 1
     assert min(seen.values()) >= 100, seen
+
+
+def _mixes_radicands(*rays) -> bool:
+    return len({x.d for r in rays for x in r if isinstance(x, QuadNum) and x.b}) > 1
+
+
+def test_phase_order_matches_reference():
+    # theta_compare, LiftedPhase.compare and LiftedPhase.transport against the
+    # bucketed order: integer parts -3..3, a second ray that is a multiple of
+    # the first (parallel or anti-parallel) in 30 % of the draws and zero in
+    # 5 %.  With two radicands in play either side may refuse
+    # (MixedRadicalError) where the other multiplies nothing irrational; the
+    # two never order differently.
+    rng = random.Random(2205)
+    seen = Counter()
+    for _ in range(6000):
+        d = rng.choice(RADICANDS)
+        r1 = (_entry(rng, d, 0.75), _entry(rng, d, 0.75))
+        n1 = rng.randint(-3, 3)
+        u = rng.random()
+        if u < 0.05:
+            r2, n2 = (0, 0), n1
+        elif u < 0.35:
+            k = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+            r2, n2 = (k * r1[0], k * r1[1]), n1 + rng.choice((-1, 0, 1))
+        else:
+            r2, n2 = (_entry(rng, d, 0.75), _entry(rng, d, 0.75)), rng.randint(-3, 3)
+        cases = [("theta", lambda: theta_compare(r1, r2), lambda: ref.theta_compare(r1, r2))]
+        if any(map(_quad_sign, r1)):
+            lp = LiftedPhase(n1, r1)
+            if any(map(_quad_sign, r2)):
+                cases.append((
+                    "compare",
+                    lambda: lp.compare(LiftedPhase(n2, r2)),
+                    lambda: ref.lifted_compare(n1, r1, n2, r2),
+                ))
+            cases.append((
+                "transport",
+                lambda: lp.transport(r2).n - n1,
+                lambda: ref.transport_n(n1, r1, r2) - n1,
+            ))
+        for name, new, old in cases:
+            got, want = _sign_or_mixed(new), _sign_or_mixed(old)
+            if got != want:
+                assert "mixed" in (got, want) and _mixes_radicands(r1, r2), (name, n1, r1, n2, r2)
+            seen[name, want] += 1
+    for name, outcomes in (
+        ("theta", (-1, 0, 1, "mixed", "ZeroChargeError")),
+        ("compare", (-1, 0, 1, "mixed")),
+        ("transport", (-2, 0, 2, "mixed", "DegenerateGeometryError", "ZeroChargeError")),
+    ):
+        for outcome in outcomes:
+            assert seen[name, outcome] >= 100, (name, outcome, seen)

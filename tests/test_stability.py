@@ -295,6 +295,17 @@ def test_lifted_phase_value_and_compare():
         LiftedPhase(0, (0, 0))
 
 
+def test_lifted_phase_refuses_a_non_int_count():
+    # a bool or a float is refused, never let decide an order: 0.5 once
+    # ranked below 0, through the case of an integer part one less
+    for n in (0.5, 1.0, True, F(1)):
+        with pytest.raises(PreconditionError, match="half-turn count must be an int"):
+            LiftedPhase(n, (1, 0))
+    with pytest.raises(PreconditionError, match="half-turn count must be an int"):
+        LiftedPhase(0, (1, 0)).shift(0.5)
+    assert LiftedPhase(0, (1, 0)).shift(-3).n == -3
+
+
 def test_display_floats_survive_huge_rays():
     # components beyond float range still give a finite display value
     assert LiftedPhase(0, (10**400, 1)).to_dict()["approx"] == 0.0
