@@ -64,11 +64,12 @@ class SurfaceLattice:
     D: DivisorClass
     K: DivisorClass
     chiO: Fraction
-    # H^2, H.K, K^2, D^2: the only pairings of two fixed classes, set once
+    # H^2, H.K, K^2, D^2, D.K: the only pairings of two fixed classes, set once
     HH: Fraction = field(init=False, repr=False, compare=False)
     HK: Fraction = field(init=False, repr=False, compare=False)
     KK: Fraction = field(init=False, repr=False, compare=False)
     DD: Fraction = field(init=False, repr=False, compare=False)
+    DK: Fraction = field(init=False, repr=False, compare=False)
     # (g, the rows of g*gram as ints), g the lcm of the gram's denominators
     _gram: tuple = field(init=False, repr=False, compare=False)
     # (c1_bound, scan_constants(c1_bound)) of the last scan, filled on first use
@@ -85,7 +86,7 @@ class SurfaceLattice:
         object.__setattr__(self, "_gram", (g, G))  # frozen dataclass
         H, D, K = self.H, self.D, self.K
         # pair raises DimensionMismatch for a class of the wrong length
-        for name, a, b in (("HH", H, H), ("HK", H, K), ("KK", K, K), ("DD", D, D)):
+        for name, a, b in (("HH", H, H), ("HK", H, K), ("KK", K, K), ("DD", D, D), ("DK", D, K)):
             object.__setattr__(self, name, self.pair(a, b))  # frozen dataclass
         if self.HH <= 0:
             raise PreconditionError("polarization must have positive self-intersection")
@@ -111,11 +112,13 @@ class SurfaceLattice:
     def mirrored(self) -> "SurfaceLattice":
         """This lattice with D replaced by -D, as the derived dual needs it.
 
-        D -> -D keeps H.D = 0 and every field `__post_init__` sets, so those
-        are copied, not computed again; the scan constants read D and are not.
+        D -> -D keeps H.D = 0 and every field `__post_init__` sets but D.K,
+        which flips sign, so those are copied, not computed again; the scan
+        constants read D and are not.
         """
         m = copy.copy(self)
         object.__setattr__(m, "D", -self.D)  # frozen dataclass
+        object.__setattr__(m, "DK", -self.DK)
         object.__setattr__(m, "_scan", None)
         return m
 
@@ -269,14 +272,15 @@ class VTilde:
         return [str(self.v0), str(self.v1), str(self.v2)]
 
 
-def _exp_ch2(ch: CharVec, Xc1: Fraction, XX: Fraction) -> Fraction:
-    """Degree-2 part of ch*exp(X) from X.c1 and X^2: e + X.c1 + r X^2/2."""
-    return ch.e + Xc1 + ch.r * XX / 2
+def _exp_ch2(ch, e: Fraction, Xc1: Fraction, XX: Fraction) -> Fraction:
+    """Degree-2 part e + X.c1 + r X^2/2 of ch*exp(X); e and X.c1 are read off
+    ch or off another character of ch's rank r, such as its D-twist."""
+    return e + Xc1 + ch.r * XX / 2
 
 
 def _times_exp(ch: CharVec, X: DivisorClass, XX: Fraction, L: SurfaceLattice) -> CharVec:
     """ch*exp(X) = (r, c1 + r X, e + X.c1 + r X^2/2), X^2 = XX read off L."""
-    return CharVec(ch.r, ch.c1 + X.scale(ch.r), _exp_ch2(ch, L.pair(X, ch.c1), XX))
+    return CharVec(ch.r, ch.c1 + X.scale(ch.r), _exp_ch2(ch, ch.e, L.pair(X, ch.c1), XX))
 
 
 def twist_char(ch: CharVec, L: SurfaceLattice) -> CharVec:
@@ -292,7 +296,7 @@ def untwist_char(ch: CharVec, L: SurfaceLattice) -> CharVec:
 def vtilde(ch: CharVec, L: SurfaceLattice) -> VTilde:
     """Project the D-twisted character onto (H^2 ch0, H.ch1, ch2); H.ch1 is
     H.(c1 - r D) = H.c1, since __post_init__ enforces H.D = 0."""
-    return VTilde(L.HH * ch.r, L.pair(L.H, ch.c1), _exp_ch2(ch, -L.pair(L.D, ch.c1), L.DD))
+    return VTilde(L.HH * ch.r, L.pair(L.H, ch.c1), _exp_ch2(ch, ch.e, -L.pair(L.D, ch.c1), L.DD))
 
 
 def tensor_by_K(ch: CharVec, L: SurfaceLattice) -> CharVec:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -36,11 +37,13 @@ from .lattice import (
     CharVec,
     SurfaceLattice,
     VTilde,
+    _exp_ch2,
     derived_dual,
-    discriminant,
     euler_pairing,
-    tensor_by_K,
     vtilde,
+    # not called here; walland.walls.discriminant stays a name that
+    # perfbench/tracing.py wraps
+    discriminant,
 )
 from .plane import (
     PlaneLine,
@@ -52,12 +55,11 @@ from .plane import (
     parse_frac,
 )
 from .stability import (
-    HeartPosition,
     LiftedPhase,
     StabPoint,
     _ray_at,
+    _upper,
     _wall_coeffs,
-    heart_sign_check,
     # not called here; walland.walls.canonical_ray and walland.walls.wall_of
     # stay the names that perfbench/tracing.py wraps
     canonical_ray,
@@ -815,6 +817,10 @@ def _fail(message: str, payload: dict):
     raise CertificateFailure(message, payload)
 
 
+# the character as the certificate reads it: its rank r and k = K.c1^D
+_Reading = namedtuple("_Reading", "r k")
+
+
 def ext2_vanishing_certificate(
     P: StabPoint, v: VTilde, ch: CharVec, L: SurfaceLattice
 ) -> Ext2Certificate:
@@ -828,38 +834,45 @@ def ext2_vanishing_certificate(
     whole phase-bound interval.  Right branch: mirror through the derived
     dual (s, D flip) and recurse.  Boundary case: perturb sideways and
     recurse nearby.  A failed inequality raises CertificateFailure with a
-    counterexample payload.  Charges, rays, chords and their meet are read
-    off integer triples; A, B, A', B', their rays, R and Q are built to print.
+    counterexample payload.  The character is read once, as its rank r and
+    k = K.c1^D, and every branch runs on (r, k) and v.  Heart tests, charges,
+    rays, chords and their meet are read off integer triples; A, B, A', B',
+    their rays, R and Q are built to print.
     """
+    for x, kind in ((P, StabPoint), (v, VTilde), (ch, CharVec), (L, SurfaceLattice)):
+        if not isinstance(x, kind):
+            raise PreconditionError(f"certificate needs a {kind.__name__}, not {x!r}")
     if not L.poisson_mode:
         raise PreconditionError("surface is not in the anticanonical regime (H.K >= 0)")
     if vtilde(ch, L) != v:
         raise PreconditionError("character projection does not match v")
-    return _certificate(P, v, ch, L)
+    # c1^D = c1 - r*D, so K.c1^D = K.c1 - r*D.K
+    return _certificate(P, v, _Reading(ch.r, L.pair(L.K, ch.c1) - ch.r * L.DK), L)
 
 
-def _certificate(P, v, ch, L) -> Ext2Certificate:
-    """ext2_vanishing_certificate for v = vtilde(ch, L) and L in the regime.
+def _certificate(P, v, rk, L) -> Ext2Certificate:
+    """ext2_vanishing_certificate for v = vtilde(ch, L), read as rk, and L in the regime.
 
-    The nearby and dual branches recurse here: the nearby branch keeps v,
-    ch and L, and the dual branch passes v2 = vtilde(ch2, L2), negated with
-    ch2, on the mirror L2, whose H.K is L's.
+    The nearby branch recurses with P moved, and the dual branch with the
+    mirror's P, v and reading.  The mirror lattice has L's H^2, H.K and
+    K^2, the only constants the branches read, so L is passed on.
     """
-    heart = heart_sign_check(P, v)
-    if heart is HeartPosition.Fails:
+    V, _ = _ints(v)
+    (Pr,) = _ring((P,))
+    if not any(_cross3(Pr, V)[1:]) or not _upper(ray := _ray_at(Pr, V)):
         raise PreconditionError("character fails the heart sign test at P")
-    if discriminant(v) < 0:
+    if V[1] * V[1] - 2 * V[0] * V[2] < 0:  # discriminant(v), times M^2
         raise PreconditionError("character has negative discriminant")
     # Im Z(v) = v0*(v1/v0 - s) for v0 != 0: P.s = v1/v0 on the real axis,
     # and with Im Z > 0, P.s > v1/v0 exactly when v0 < 0
-    if v.v0 and heart is HeartPosition.NegativeRealAxis:
-        return _nearby_certificate(P, v, ch, L)
-    if v.v0 < 0:
-        return _dual_certificate(P, v, ch, L)
-    return _left_certificate(P, v, ch, L)
+    if V[0] and not ray[1]:
+        return _nearby_certificate(P, v, rk, L)
+    if V[0] < 0:
+        return _dual_certificate(P, v, rk, L)
+    return _left_certificate(P, Pr, v, V, rk, L)
 
 
-def _nearby_certificate(P, v, ch, L) -> Ext2Certificate:
+def _nearby_certificate(P, v, rk, L) -> Ext2Certificate:
     # boundary alignment: nudge sideways, direction set by the rank sign
     step = Fraction(-1) if v.v0 > 0 else Fraction(1)
     eps = Fraction(1)
@@ -869,37 +882,37 @@ def _nearby_certificate(P, v, ch, L) -> Ext2Certificate:
             P2 = StabPoint(s2, P.q)
             break
         eps /= 2
-    inner = _certificate(P2, v, ch, L)
+    inner = _certificate(P2, v, rk, L)
     data = {"P": P.to_dict(), "P_perturbed": P2.to_dict(), "v": v.to_list()}
     return Ext2Certificate("NearbyStability", data, inner)
 
 
-def _dual_certificate(P, v, ch, L) -> Ext2Certificate:
-    ch2, _, s2 = dual_reduce(ch, L.D, P.s)
-    L2 = L.mirrored()
-    P2 = StabPoint(s2, P.q)
-    # vtilde(derived_dual(ch), L.mirrored()): H.c1 flips, and D.c1 does not
-    v2 = VTilde(v.v0, -v.v1, v.v2)
-    negated = False
-    if heart_sign_check(P2, v2) is HeartPosition.Fails:
-        ch2, v2, negated = -ch2, -v2, True
-    inner = _certificate(P2, v2, ch2, L2)
+def _dual_certificate(P, v, rk, L) -> Ext2Certificate:
+    # derived_dual(ch) on L.mirrored() reads (r, -k) with v = (v0, -v1, v2):
+    # c1 and D flip, so H.c1 and K.c1^D do, and D.c1 and ch2^D do not.  At
+    # P2 = (-s, q) its charge is the conjugate of Z_P(v), whose Im is > 0
+    # on this branch (v0 < 0, off the real axis), so it fails the heart
+    # test; its shift, read as (-r, k) with the negated v, passes it.
+    P2 = StabPoint(-P.s, P.q)
+    v2 = VTilde(-v.v0, v.v1, -v.v2)
+    inner = _certificate(P2, v2, _Reading(-rk.r, rk.k), L)
     data = {
         "P": P.to_dict(),
         "P_mirror": P2.to_dict(),
         "v": v.to_list(),
         "v_mirror": v2.to_list(),
-        "shift_normalized": negated,
+        "shift_normalized": True,
     }
     return Ext2Certificate("DualReduction", data, inner)
 
 
-def _left_certificate(P, v, ch, L) -> Ext2Certificate:
+def _left_certificate(P, Pr, v, V, rk, L) -> Ext2Certificate:
     # Q is P slid by delta = H.K/H.H along its parabola q = s^2/2 + const
     delta = L.HK / L.HH
     Q = StabPoint(P.s + delta, P.q + delta * (P.s + delta / 2))
-    chK = tensor_by_K(ch, L)
-    vK = vtilde(chK, L)
+    # vtilde(tensor_by_K(ch, L), L): exp(K) commutes with the twist by -D,
+    # so ch2^D gains K.c1^D + r*K^2/2 and H.c1 gains r*H.K
+    vK = VTilde(v.v0, v.v1 + rk.r * L.HK, _exp_ch2(rk, v.v2, rk.k, L.KK))
 
     base = {
         "P": P.to_dict(),
@@ -907,25 +920,25 @@ def _left_certificate(P, v, ch, L) -> Ext2Certificate:
         "v": v.to_list(),
         "vK": vK.to_list(),
     }
-    if vK.is_zero:
+    VK, _ = _ints(vK)
+    if not any(VK):
         _fail("twisted character vanishes", base)
 
-    (V, _), (VK, _) = _ints(v), _ints(vK)
-    Pr, Qr = _ring((P, Q))
-    # Z_P(v) != 0 (heart sign check), so v's plane point is not P
+    (Qr,) = _ring((Q,))
+    # Z_P(v) != 0 (heart sign check), so v's plane point is not P; through P,
+    # strictly above the parabola, a chord that is not vertical is a secant
     chord1 = PlaneLine(_wall_coeffs(V, Pr))
-    pts1 = line_parabola_intersect(chord1)
-    if len(pts1) != 2:
+    if not chord1.coeffs[2]:
         _fail("character chord degenerates (vertical or tangent)", base)
     if not any(_cross3(V, VK)):
         _fail("twist does not move the plane point", base)
     # vK0 = v0 and vK1 = v1 + delta*v0: vK's plane point is at infinity or at
     # s = v1/v0 + delta > Q.s, so it is not Q, and Z_Q(vK) != 0.  The chord is
     # not vertical: at infinity that needs v0 = v1 = 0, refused above with a
-    # vertical character chord.  Through Q, strictly above the parabola, a
-    # line that is not vertical is a secant: the twisted chord has two ends.
+    # vertical character chord.  Through Q, a line that is not vertical is a
+    # secant: the twisted chord has two ends.
     chord2 = PlaneLine(_wall_coeffs(VK, Qr))
-    (A, B), (Ap, Bp) = pts1, line_parabola_intersect(chord2)
+    (A, B), (Ap, Bp) = line_parabola_intersect(chord1), line_parabola_intersect(chord2)
     data = dict(base, A=pair_to_json(A), B=pair_to_json(B))
     data.update(Ap=pair_to_json(Ap), Bp=pair_to_json(Bp))
 

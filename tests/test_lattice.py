@@ -158,8 +158,8 @@ def test_constants_and_twists_match_pair_definitions(p2, quartic, product_surfac
     rng = random.Random(2025)
     for L in [p2, quartic, product_surface] + odd:
         H, D, K = L.H, L.D, L.K
-        assert (L.HH, L.HK, L.KK, L.DD) == (
-            L.pair(H, H), L.pair(H, K), L.pair(K, K), L.pair(D, D)
+        assert (L.HH, L.HK, L.KK, L.DD, L.DK) == (
+            L.pair(H, H), L.pair(H, K), L.pair(K, K), L.pair(D, D), L.pair(D, K)
         )
         again = SurfaceLattice.from_dict(json.loads(json.dumps(L.to_dict())))
         assert again == L and hash(again) == hash(L) and repr(again) == repr(L)
@@ -179,16 +179,17 @@ def test_constants_and_twists_match_pair_definitions(p2, quartic, product_surfac
 
 
 def test_mirrored_is_the_lattice_of_minus_D(p2, quartic, product_surface):
-    # mirrored copies what D -> -D keeps and drops the cached scan
-    # constants, which read D
+    # mirrored copies what D -> -D keeps, negates D.K and drops the cached
+    # scan constants, which read D
     odd = [SurfaceLattice.from_dict(ODD_SCALE[name]) for name in sorted(ODD_SCALE)]
     for L in [p2, quartic, product_surface] + odd:
         L.scan_constants(2)
         got = L.mirrored()
         want = SurfaceLattice(L.basis, L.gram, L.H, -L.D, L.K, L.chiO)
         assert got == want and got.mirrored() == L
-        assert (got.HH, got.HK, got.KK, got.DD, got._gram) == (
-            want.HH, want.HK, want.KK, want.DD, want._gram
+        # D.K flips with D, so a copied D.K would differ here
+        assert (got.HH, got.HK, got.KK, got.DD, got.DK, got._gram) == (
+            want.HH, want.HK, want.KK, want.DD, want.DK, want._gram
         )
         assert got.scan_constants(2) == want.scan_constants(2)
 

@@ -399,7 +399,9 @@ def test_one_integer_wall_decision():
 def test_walls_decide_on_integer_triples():
     # the phase window, the walk and the certificate take charges, rays,
     # chords, their meet and the translated point from integer triples
-    # (_cross3, _wall_coeffs, _ray_at), not from the object geometry
+    # (_cross3, _wall_coeffs, _ray_at), not from the object geometry; the
+    # certificate decides its heart tests and discriminant there too, and
+    # reads the twisted and the mirrored character off (r, K.c1^D) and v
     banned = {
         "central_charge",
         "canonical_ray",
@@ -407,16 +409,20 @@ def test_walls_decide_on_integer_triples():
         "line_through",
         "line_intersection",
         "parabola_translate",
+        "heart_sign_check",
+        "tensor_by_K",
+        "mirrored",
+        "discriminant",
     }
-    calls = sorted(
-        (func, node.lineno)
-        for name, func, node in _nodes()
-        if name == "walls.py"
-        and isinstance(node, ast.Call)
-        and (node.func.attr if isinstance(node.func, ast.Attribute) else _callee(node))
-        in banned
-    )
-    assert calls == []
+    calls = [
+        (func, name)
+        for file, func, node in _nodes()
+        if file == "walls.py" and isinstance(node, ast.Call)
+        for name in [node.func.attr if isinstance(node.func, ast.Attribute) else _callee(node)]
+    ]
+    assert sorted(c for c in calls if c[1] in banned) == []
+    # the character is projected once, by the entry check
+    assert [func for func, name in calls if name == "vtilde"] == ["ext2_vanishing_certificate"]
     # the certificate's branch is read off the heart position and the sign
     # of v0: Im Z(v) = v0*(v1/v0 - s), so no slope v1/v0 is divided out
     (cert,) = [

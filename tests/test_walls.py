@@ -35,6 +35,8 @@ from walland import (
     phase_bound_interval,
     segment_point,
     simulate_destabilization_paths,
+    tensor_by_K,
+    twist_char,
     vtilde,
     wall_of,
 )
@@ -49,6 +51,7 @@ from walland.walls import (
 
 import reference_walls as ref
 from test_acceptance import _integral_char, _random_point
+from test_reference_walls import ODD_SCALE
 from conftest import rand_frac, rand_stab
 
 
@@ -642,6 +645,7 @@ _TREES_DIGEST = "702327642845ac19f105f99df8fce64ab48aa71e225c6fa865fb43c0165d472
 # sha256 of the canonical JSON of the certificates and CertificateFailures
 # (message and payload) of _certificate_corpus
 _CERTIFICATE_DIGEST = "da81bfed0780bca39d3e5b095c3a638aae0f13836a1aaa35dd9bdaaf3db2e948"
+_CERTIFICATE_DIGEST_DK = "6741b3539dc06a574c6d4335fe35a9e21905c56d292b6deb0ce112f2d77b3b63"
 
 
 def test_simulate_split_choice_pinned(p2):
@@ -776,9 +780,21 @@ def test_dual_reduce_involution(p2):
 
 
 def test_mirror_projection_flips_v1(p2, quartic, product_surface):
-    # _dual_certificate builds the mirror's projection as (v0, -v1, v2)
+    # ext2_vanishing_certificate reads ch once as (r, k), k = K.c1^D =
+    # K.c1 - r*D.K, and takes vK, the dual and the shifted dual from it and
+    # v: (v0, -v1, v2) is the mirror's projection.  Here k is also read off
+    # the twisted character, and each reading is checked against the
+    # characters and lattices that the certificate does not build.
+    def reading(ch, L):
+        k = L.pair(L.K, ch.c1) - ch.r * L.DK
+        assert k == L.pair(L.K, twist_char(ch, L).c1)
+        return ch.r, k
+
+    odd = [SurfaceLattice.from_dict(ODD_SCALE[name]) for name in sorted(ODD_SCALE)]
     rng = random.Random(2708)
-    for L in (p2, quartic, product_surface):
+    for L in [p2, quartic, product_surface] + odd:
+        L2 = L.mirrored()
+        assert (L2.HH, L2.HK, L2.KK) == (L.HH, L.HK, L.KK)
         for _ in range(40):
             ch = CharVec.make(
                 rng.randint(-3, 3),
@@ -786,8 +802,16 @@ def test_mirror_projection_flips_v1(p2, quartic, product_surface):
                 rand_frac(rng, 9, 2),
             )
             v = vtilde(ch, L)
-            assert vtilde(derived_dual(ch), L.mirrored()) == V(v.v0, -v.v1, v.v2)
+            r, k = reading(ch, L)
+            vK = V(v.v0, v.v1 + r * L.HK, v.v2 + k + r * L.KK / 2)
+            assert vK == vtilde(tensor_by_K(ch, L), L)
+            dual, mirror = derived_dual(ch), V(v.v0, -v.v1, v.v2)
+            assert (reading(dual, L2), vtilde(dual, L2)) == ((r, -k), mirror)
+            assert (reading(-dual, L2), vtilde(-dual, L2)) == ((-r, k), -mirror)
     assert any(product_surface.D.coords)  # the D.c1 term is exercised
+    # the blow-up with D in thirds has D.K = -1/3 and K not a multiple of H;
+    # on p1xp1_twisted K = -2H, so D.K = 0 there
+    assert [L.DK for L in odd] == [F(-1, 3), 0] and product_surface.DK == 0
 
 
 # ---------------------------------------------------------------------------
@@ -862,20 +886,49 @@ def test_certificate_preconditions(p2, quartic):
         ext2_vanishing_certificate(SP(-1, 1), vtilde(chq, quartic), chq, quartic)
 
 
+def test_certificate_refuses_wrong_argument_types(p2):
+    # a wrong type is refused at entry, before any attribute of it is read
+    ch = CharVec.make(-1, [1], 2)
+    P, v = SP(3, 6), vtilde(ch, p2)
+    cases = {
+        "StabPoint": ((3, 6), v, ch, p2),
+        "VTilde": (P, (-1, 1, 2), ch, p2),
+        "CharVec": (P, v, (-1, [1], 2), p2),
+        "SurfaceLattice": (P, v, ch, None),
+    }
+    for kind, args in cases.items():
+        with pytest.raises(PreconditionError, match=f"certificate needs a {kind}, not "):
+            ext2_vanishing_certificate(*args)
+    assert ext2_vanishing_certificate(P, v, ch, p2).branch == "DualReduction"
+
+
 def test_certificate_checks_projection_once(p2, monkeypatch):
     # a v that is not vtilde(ch) is refused before any branch runs
     ch = CharVec.make(-1, [1], 2)
     with pytest.raises(PreconditionError, match="character projection does not match v"):
         ext2_vanishing_certificate(SP(3, 6), vtilde(ch, p2) + V(0, 0, 1), ch, p2)
-    # the dual branch flips the sign of v1 for the mirror's projection and
-    # recurses without checking it again: the top check and the left
-    # branch's twisted character are the only 2 calls
+    # the character is read once at entry as (r, K.c1^D): the dual branch
+    # reads the mirror off it and v, and the left branch writes vK in closed
+    # form, so the top check is the only call, and neither builds the
+    # mirror lattice, a dual character or a twisted one
     P = SP(3, 6)
     want = ext2_vanishing_certificate(P, vtilde(ch, p2), ch, p2)
     calls = []
+
+    def refuse(*args):
+        raise AssertionError("the certificate builds no mirror, dual or twist")
+
     monkeypatch.setattr(walls, "vtilde", lambda c, L: calls.append(c) or vtilde(c, L))
+    monkeypatch.setattr(SurfaceLattice, "mirrored", refuse)
+    monkeypatch.setattr(walls, "derived_dual", refuse)
+    monkeypatch.setattr(walls, "tensor_by_K", refuse, raising=False)
     assert ext2_vanishing_certificate(P, vtilde(ch, p2), ch, p2) == want
-    assert want.branch == "DualReduction" and len(calls) == 2
+    assert want.branch == "DualReduction" and len(calls) == 1
+    # the document as derived_dual on the mirror lattice and tensor_by_K give it
+    assert want.data["v_mirror"] == ["1", "1", "-2"]
+    assert want.inner.data["vK"] == ["1", "-2", "-1/2"]
+    digest = hashlib.sha256(dumps_canonical(want.to_dict()).encode()).hexdigest()
+    assert digest == "ccba26298607e6ac39ae24dad07c7b722f55b441d9c88a5bf20d62e7d1a7c79f"
 
 
 def test_certificate_failure_payload(p2):
@@ -910,15 +963,15 @@ def test_certificate_fuzz_left_side(p2):
         done += 1
 
 
-def _certificate_corpus(p2, product_surface):
-    """(P, ch, L) seeded on p2 and p1xp1_twisted; every v has a heart charge at P.
+def _certificate_corpus(*lattices):
+    """(P, ch, L) seeded on the lattices, in order; every v has a heart charge at P.
 
     Per surface: parameters left of, right of and on the vertical of v's
     plane point, and rank-zero classes, among them skyscrapers.
     """
     rng = random.Random(2707)
     out = []
-    for L in (p2, product_surface):
+    for L in lattices:
         for kind, count in (("left", 60), ("right", 60), ("aligned", 20), ("rank0", 300)):
             done = 0
             while done < count:
@@ -945,9 +998,9 @@ def _certificate_corpus(p2, product_surface):
     return out
 
 
-def test_certificate_documents_pinned(p2, product_surface):
+def _certificate_documents(corpus):
     docs, branches, failures = [], Counter(), Counter()
-    for P, ch, L in _certificate_corpus(p2, product_surface):
+    for P, ch, L in corpus:
         try:
             cert = ext2_vanishing_certificate(P, vtilde(ch, L), ch, L)
         except CertificateFailure as exc:
@@ -961,9 +1014,23 @@ def test_certificate_documents_pinned(p2, product_surface):
     assert set(branches) == {
         "PhaseDominance", "SegmentsIntersect", "DualReduction", "NearbyStability"
     }
+    return hashlib.sha256(dumps_canonical(docs).encode()).hexdigest(), branches, failures
+
+
+def test_certificate_documents_pinned(p2, product_surface):
+    digest, branches, failures = _certificate_documents(_certificate_corpus(p2, product_surface))
     assert len(failures) >= 2
-    digest = hashlib.sha256(dumps_canonical(docs).encode()).hexdigest()
     assert digest == _CERTIFICATE_DIGEST, (branches, failures, digest)
+
+
+def test_certificate_documents_pinned_where_D_meets_K():
+    # D.K = 0 on p2 and p1xp1_twisted; the blow-up with D in thirds has
+    # D.K = -1/3, so its reading k = K.c1 - r*D.K and the mirror's -k carry
+    # that term.  The digest was taken with the mirror lattice, the derived
+    # dual and tensor_by_K.
+    L = SurfaceLattice.from_dict(ODD_SCALE["blowup-D-thirds"])
+    digest, branches, failures = _certificate_documents(_certificate_corpus(L))
+    assert digest == _CERTIFICATE_DIGEST_DK, (branches, failures, digest)
 
 
 def test_certificate_equal_chords_branch():
