@@ -9,22 +9,22 @@ vectors that drive all of the plane geometry downstream.
 
 from __future__ import annotations
 
-import copy
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
 
 from .errors import DimensionMismatch, PreconditionError, SchemaError
-from .plane import _den_lcm, _scaled, parse_frac
+from .plane import _Frozen, _den_lcm, _scaled, parse_frac
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(_Frozen):
     """Divisor class as rational coordinates in the declared basis."""
 
-    coords: tuple
+    __slots__ = _fields = ("coords",)
+
+    def __init__(self, coords: tuple):
+        self._set("coords", coords)
 
     @staticmethod
     def make(coords) -> "DivisorClass":
@@ -54,40 +54,29 @@ class DivisorClass:
         return all(c == 0 for c in self.coords)
 
 
-@dataclass(frozen=True)
-class SurfaceLattice:
+class SurfaceLattice(_Frozen):
     """Intersection data (basis, gram, H, D, K, chiO) of a polarized surface."""
 
-    basis: tuple
-    gram: tuple
-    H: DivisorClass
-    D: DivisorClass
-    K: DivisorClass
-    chiO: Fraction
-    # H^2, H.K, K^2, D^2, D.K: the only pairings of two fixed classes, set once
-    HH: Fraction = field(init=False, repr=False, compare=False)
-    HK: Fraction = field(init=False, repr=False, compare=False)
-    KK: Fraction = field(init=False, repr=False, compare=False)
-    DD: Fraction = field(init=False, repr=False, compare=False)
-    DK: Fraction = field(init=False, repr=False, compare=False)
-    # (g, the rows of g*gram as ints), g the lcm of the gram's denominators
-    _gram: tuple = field(init=False, repr=False, compare=False)
-    # (c1_bound, scan_constants(c1_bound)) of the last scan, filled on first use
-    _scan: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("basis", "gram", "H", "D", "K", "chiO")
+    # outside ==, hash and repr: H^2, H.K, K^2, D^2, D.K, the only pairings of
+    # two fixed classes; (g, the rows of g*gram as ints), g the lcm of the gram's
+    # denominators; (c1_bound, scan_constants(c1_bound)) of the last scan
+    __slots__ = _fields + ("HH", "HK", "KK", "DD", "DK", "_gram", "_scan")
 
-    def __post_init__(self):
-        n = len(self.basis)
-        if len(self.gram) != n or any(len(row) != n for row in self.gram):
+    def __init__(self, basis, gram, H, D, K, chiO):
+        for name, x in zip(self._fields, (basis, gram, H, D, K, chiO)):
+            self._set(name, x)
+        self._set("_scan", None)
+        n = len(basis)
+        if len(gram) != n or any(len(row) != n for row in gram):
             raise SchemaError("gram matrix shape does not match basis")
-        if any(tuple(row) != col for row, col in zip(self.gram, zip(*self.gram))):
+        if any(tuple(row) != col for row, col in zip(gram, zip(*gram))):
             raise SchemaError("gram matrix must be symmetric")
-        g = _den_lcm(chain(*self.gram))
-        G = tuple(_scaled(row, g) for row in self.gram)
-        object.__setattr__(self, "_gram", (g, G))  # frozen dataclass
-        H, D, K = self.H, self.D, self.K
+        g = _den_lcm(chain(*gram))
+        self._set("_gram", (g, tuple(_scaled(row, g) for row in gram)))
         # pair raises DimensionMismatch for a class of the wrong length
         for name, a, b in (("HH", H, H), ("HK", H, K), ("KK", K, K), ("DD", D, D), ("DK", D, K)):
-            object.__setattr__(self, name, self.pair(a, b))  # frozen dataclass
+            self._set(name, self.pair(a, b))
         if self.HH <= 0:
             raise PreconditionError("polarization must have positive self-intersection")
         if self.pair(H, D) != 0:
@@ -112,14 +101,16 @@ class SurfaceLattice:
     def mirrored(self) -> "SurfaceLattice":
         """This lattice with D replaced by -D, as the derived dual needs it.
 
-        D -> -D keeps H.D = 0 and every field `__post_init__` sets but D.K,
+        D -> -D keeps H.D = 0 and every slot `__init__` derives but D.K,
         which flips sign, so those are copied, not computed again; the scan
         constants read D and are not.
         """
-        m = copy.copy(self)
-        object.__setattr__(m, "D", -self.D)  # frozen dataclass
-        object.__setattr__(m, "DK", -self.DK)
-        object.__setattr__(m, "_scan", None)
+        m = object.__new__(SurfaceLattice)
+        for name in self.__slots__:
+            m._set(name, getattr(self, name))
+        m._set("D", -self.D)
+        m._set("DK", -self.DK)
+        m._set("_scan", None)
         return m
 
     @property
@@ -144,7 +135,7 @@ class SurfaceLattice:
         classes = Counter((a, b % M) for a, b in (_scaled(t, M) for t in terms))
         out = (M, *_scaled((self.HH, self.DD / 2), M),
                tuple((a, b, n) for (a, b), n in classes.items()))
-        object.__setattr__(self, "_scan", (c1_bound, out))  # frozen dataclass
+        self._set("_scan", (c1_bound, out))
         return out
 
     def divisor(self, coords) -> DivisorClass:
@@ -196,13 +187,15 @@ class SurfaceLattice:
         return SurfaceLattice.from_dict(data)
 
 
-@dataclass(frozen=True)
-class CharVec:
+class CharVec(_Frozen):
     """Numerical character (rank, first Chern class, degree-2 component)."""
 
-    r: Fraction
-    c1: DivisorClass
-    e: Fraction
+    __slots__ = _fields = ("r", "c1", "e")
+
+    def __init__(self, r: Fraction, c1: DivisorClass, e: Fraction):
+        self._set("r", r)
+        self._set("c1", c1)
+        self._set("e", e)
 
     @staticmethod
     def make(r, c1_coords, e) -> "CharVec":
@@ -240,13 +233,15 @@ class CharVec:
             raise SchemaError(f"character record missing field: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class VTilde:
+class VTilde(_Frozen):
     """Projected character (H^2*ch0^D, H.ch1^D, ch2^D)."""
 
-    v0: Fraction
-    v1: Fraction
-    v2: Fraction
+    __slots__ = _fields = ("v0", "v1", "v2")
+
+    def __init__(self, v0: Fraction, v1: Fraction, v2: Fraction):
+        self._set("v0", v0)
+        self._set("v1", v1)
+        self._set("v2", v2)
 
     @staticmethod
     def make(v0, v1, v2) -> "VTilde":
@@ -295,7 +290,7 @@ def untwist_char(ch: CharVec, L: SurfaceLattice) -> CharVec:
 
 def vtilde(ch: CharVec, L: SurfaceLattice) -> VTilde:
     """Project the D-twisted character onto (H^2 ch0, H.ch1, ch2); H.ch1 is
-    H.(c1 - r D) = H.c1, since __post_init__ enforces H.D = 0."""
+    H.(c1 - r D) = H.c1, since SurfaceLattice enforces H.D = 0."""
     return VTilde(L.HH * ch.r, L.pair(L.H, ch.c1), _exp_ch2(ch, ch.e, -L.pair(L.D, ch.c1), L.DD))
 
 

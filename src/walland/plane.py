@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import attrgetter
 from typing import Union
 
 from .errors import MixedRadicalError, PreconditionError, SchemaError
@@ -63,10 +63,13 @@ def _exponent_literal(x: str, shown: str, limit: int) -> Fraction:
 
 
 def _den_lcm(xs) -> int:
-    """The lcm of the denominators of the rationals xs."""
+    """The lcm of the denominators of the rationals xs; a float entry raises PreconditionError."""
     # lcm of a list, not of a generator: CPython resizes a tuple built from a
     # generator, and the resized tuples pile up on its tuple free lists
-    return math.lcm(*[x.denominator for x in xs])
+    try:
+        return math.lcm(*[x.denominator for x in xs])
+    except AttributeError as exc:
+        raise PreconditionError(f"entry {exc.obj!r} is not a rational") from exc
 
 
 def _scaled(xs, m: int) -> list:
@@ -303,11 +306,55 @@ def _canonical_int_triple(c0: Fraction, c1: Fraction, c2: Fraction):
     return _primitive(_scaled(c, _den_lcm(c)))
 
 
-@dataclass(frozen=True)
-class PlanePoint:
+class _Value:
+    """Base of the value classes: == on the class, then on the tuple of the
+    _fields; repr Class(field=..., ...); match patterns, copy and pickle."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "_fields" in cls.__dict__:  # a subclass that adds no fields keeps its parent's
+            get = attrgetter(*cls._fields)
+            cls._key = staticmethod(get if len(cls._fields) > 1 else lambda x: (get(x),))
+            cls.__match_args__ = cls._fields
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+
+class _Frozen(_Value):
+    """A _Value whose slots _set writes once, in __init__; hashed as its _fields."""
+
+    __slots__ = ()
+    _set = object.__setattr__
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+
+class PlanePoint(_Frozen):
     """Projective point [v0 : v1 : v2], canonical coprime integer triple."""
 
-    h: tuple
+    __slots__ = _fields = ("h",)
+
+    def __init__(self, h: tuple):
+        self._set("h", h)
 
     @staticmethod
     def make(v0, v1, v2) -> "PlanePoint":
@@ -335,11 +382,13 @@ class PlanePoint:
         return f"[{self.h[0]}:{self.h[1]}:{self.h[2]}]"
 
 
-@dataclass(frozen=True)
-class PlaneLine:
+class PlaneLine(_Frozen):
     """Projective line a*v0 + b*v1 + c*v2 = 0, canonical coefficient triple."""
 
-    coeffs: tuple
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):
+        self._set("coeffs", coeffs)
 
     @staticmethod
     def make(a, b, c) -> "PlaneLine":

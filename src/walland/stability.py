@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -26,6 +25,7 @@ from .lattice import VTilde, discriminant
 from .plane import (
     PlaneLine,
     PlanePoint,
+    _Frozen,
     _cross3,
     _den_lcm,
     _primitive,
@@ -35,18 +35,16 @@ from .plane import (
 )
 
 
-@dataclass(frozen=True)
-class StabPoint:
+class StabPoint(_Frozen):
     """Stability parameter (s, q) with q > s^2/2 strictly."""
 
-    s: Fraction
-    q: Fraction
+    __slots__ = _fields = ("s", "q")
 
-    def __post_init__(self):
-        if 2 * self.q <= self.s * self.s:
-            raise PreconditionError(
-                f"stability point ({self.s}, {self.q}) not strictly above q = s^2/2"
-            )
+    def __init__(self, s: Fraction, q: Fraction):
+        if 2 * q <= s * s:
+            raise PreconditionError(f"stability point ({s}, {q}) not strictly above q = s^2/2")
+        self._set("s", s)
+        self._set("q", q)
 
     @staticmethod
     def make(s, q) -> "StabPoint":
@@ -252,12 +250,14 @@ class LiftedPhase:
         return f"LiftedPhase(n={self.n}, ray={self.ray!r}, ~{self.approx():.4f})"
 
 
-@dataclass(frozen=True)
-class PhaseValue:
+class PhaseValue(_Frozen):
     """Exact charge ray plus a display float in (0, 1]."""
 
-    exact_ray: tuple
-    approx: float
+    __slots__ = _fields = ("exact_ray", "approx")
+
+    def __init__(self, exact_ray: tuple, approx: float):
+        self._set("exact_ray", exact_ray)
+        self._set("approx", approx)
 
     def to_dict(self) -> dict:
         return {

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Optional
@@ -47,6 +46,8 @@ from .lattice import (
 )
 from .plane import (
     PlaneLine,
+    _Frozen,
+    _Value,
     _cross3,
     _den_lcm,
     _scaled,
@@ -72,23 +73,21 @@ from .stability import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnumerationBounds:
+class EnumerationBounds(_Frozen):
     """Finite search box: |rank| <= rank_bound, |c1 coords| <= c1_bound.
 
     Both bounds must be nonnegative ints; a float or a bool raises
     PreconditionError.
     """
 
-    rank_bound: int
-    c1_bound: int
+    __slots__ = _fields = ("rank_bound", "c1_bound")
 
-    def __post_init__(self):
-        for b in (self.rank_bound, self.c1_bound):
+    def __init__(self, rank_bound: int, c1_bound: int):
+        for b in (rank_bound, c1_bound):
             if type(b) is not int or b < 0:
-                raise PreconditionError(
-                    f"enumeration bounds must be nonnegative ints, not {b!r}"
-                )
+                raise PreconditionError(f"enumeration bounds must be nonnegative ints, not {b!r}")
+        self._set("rank_bound", rank_bound)
+        self._set("c1_bound", c1_bound)
 
     @staticmethod
     def coerce(bounds) -> "EnumerationBounds":
@@ -233,17 +232,19 @@ def _split_w1_ranges(m, S0, S1, d0, d1, W0):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CandidateWall:
+class CandidateWall(_Frozen):
     """A wall with its witnesses; crossing is set by the split rule only.
 
     crossing is the parameter in (0, 1) along the segment, start to end,
     where the wall crosses it.  It is not part of the JSON form.
     """
 
-    wall: PlaneLine
-    witnesses: tuple
-    crossing: Optional[Fraction] = None
+    __slots__ = _fields = ("wall", "witnesses", "crossing")
+
+    def __init__(self, wall: PlaneLine, witnesses: tuple, crossing: Optional[Fraction] = None):
+        self._set("wall", wall)
+        self._set("witnesses", witnesses)
+        self._set("crossing", crossing)
 
     def to_dict(self) -> dict:
         return {
@@ -503,19 +504,15 @@ def enumerate_candidate_walls(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PhaseInterval:
+class PhaseInterval(_Value):
     """Lifted phase window spanned by the two chord endpoints at Q."""
 
-    lo: LiftedPhase
-    hi: LiftedPhase
-    labels: dict
-    Q: StabPoint
-    A: tuple
-    B: tuple
-    chord: PlaneLine
-    anchor: LiftedPhase
-    degenerate_endpoint: Optional[str] = None
+    _fields = ("lo", "hi", "labels", "Q", "A", "B", "chord", "anchor", "degenerate_endpoint")
+    __slots__ = _fields
+
+    def __init__(self, lo, hi, labels, Q, A, B, chord, anchor, degenerate_endpoint=None):
+        self.lo, self.hi, self.labels, self.Q, self.A, self.B = lo, hi, labels, Q, A, B
+        self.chord, self.anchor, self.degenerate_endpoint = chord, anchor, degenerate_endpoint
 
     def contains(self, lp: LiftedPhase) -> bool:
         """Weak membership lo <= lp <= hi."""
@@ -628,12 +625,11 @@ def phase_bound_interval(P: StabPoint, Q: StabPoint, v: VTilde) -> PhaseInterval
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SplitPair:
-    w: VTilde
-    u: VTilde
-    w_node: "PathNode"
-    u_node: "PathNode"
+class SplitPair(_Value):
+    __slots__ = _fields = ("w", "u", "w_node", "u_node")
+
+    def __init__(self, w: VTilde, u: VTilde, w_node: PathNode, u_node: PathNode):
+        self.w, self.u, self.w_node, self.u_node = w, u, w_node, u_node
 
     def to_dict(self) -> dict:
         return {
@@ -644,12 +640,11 @@ class SplitPair:
         }
 
 
-@dataclass
-class PathEvent:
-    t: Fraction
-    R: StabPoint
-    wall: PlaneLine
-    splits: list
+class PathEvent(_Value):
+    __slots__ = _fields = ("t", "R", "wall", "splits")
+
+    def __init__(self, t: Fraction, R: StabPoint, wall: PlaneLine, splits: list):
+        self.t, self.R, self.wall, self.splits = t, R, wall, splits
 
     def to_dict(self) -> dict:
         return {
@@ -660,13 +655,12 @@ class PathEvent:
         }
 
 
-@dataclass
-class PathNode:
-    char: VTilde
-    t_start: Fraction
-    entry_lift: LiftedPhase
-    leaf_lift: LiftedPhase
-    events: list
+class PathNode(_Value):
+    __slots__ = _fields = ("char", "t_start", "entry_lift", "leaf_lift", "events")
+
+    def __init__(self, char, t_start, entry_lift, leaf_lift, events):
+        self.char, self.t_start, self.entry_lift = char, t_start, entry_lift
+        self.leaf_lift, self.events = leaf_lift, events
 
     def to_dict(self) -> dict:
         return {
@@ -790,11 +784,11 @@ def _ints(x: VTilde):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Ext2Certificate:
-    branch: str
-    data: dict
-    inner: Optional["Ext2Certificate"] = None
+class Ext2Certificate(_Value):
+    __slots__ = _fields = ("branch", "data", "inner")
+
+    def __init__(self, branch: str, data: dict, inner: Optional[Ext2Certificate] = None):
+        self.branch, self.data, self.inner = branch, data, inner
 
     def to_dict(self) -> dict:
         out = {"branch": self.branch, "data": self.data}

@@ -508,7 +508,8 @@ def test_object_chord_geometry_retired():
         and node.module in ("plane", "walland.plane")
         for alias in node.names
     )
-    assert from_plane == ["_den_lcm", "_scaled", "parse_frac"]
+    # _Frozen is the value-class base, not chord geometry
+    assert from_plane == ["_Frozen", "_den_lcm", "_scaled", "parse_frac"]
 
 
 def test_no_float_division_in_floor_or_ceil():
@@ -537,7 +538,7 @@ def _fixed_class(node) -> bool:
 
 
 def test_fixed_classes_paired_once():
-    # H^2, H.K, K^2 and D^2 are fields that SurfaceLattice.__post_init__
+    # H^2, H.K, K^2, D^2 and D.K are slots that SurfaceLattice.__init__
     # sets, and it alone pairs two of H, K and D (H.D = 0 is checked there)
     sites = sorted(
         {
@@ -550,7 +551,7 @@ def test_fixed_classes_paired_once():
             and all(_fixed_class(arg) for arg in node.args)
         }
     )
-    assert sites == [("lattice.py", "__post_init__")]
+    assert sites == [("lattice.py", "__init__")]
 
 
 def _writes_exp_twist(node):

@@ -222,6 +222,23 @@ def test_theta_pairing_representative_independence():
     assert checked > 40
 
 
+def test_theta_pairing_is_the_supertrace_of_the_composite():
+    # theta_pairing reads the composite's diagonal without building it
+    rng = random.Random(20)
+    nonzero = 0
+    for _ in range(60):
+        C = random_complex(rng)
+        n = len(C.dims)
+        for ka in range(-n, n + 1):
+            for kb in range(-n, n + 1):
+                a = random_cochain(rng, C, C, ka)
+                b = random_cochain(rng, C, C, kb)
+                got = theta_pairing(a, b)
+                assert type(got) is F and got == supertrace(compose(a, b))
+                nonzero += got != 0
+    assert nonzero > 100
+
+
 def test_theta_pairing_rejects_mismatched_complexes():
     rng = random.Random(19)
     A = two_term(0)

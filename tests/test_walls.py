@@ -902,6 +902,30 @@ def test_certificate_refuses_wrong_argument_types(p2):
     assert ext2_vanishing_certificate(P, v, ch, p2).branch == "DualReduction"
 
 
+def test_float_entries_refused(p2):
+    # StabPoint and VTilde built directly, not by make, take any entries; a
+    # float reaches the integer reading (plane._den_lcm) and is refused there
+    ch = CharVec.make(1, [0], 0)
+    P, Q, P_float = SP(-1, 1), SP(1, 1), StabPoint(-1.0, 1.0)
+    v_float = VTilde(1.0, 0, 0)
+    assert v_float == vtilde(ch, p2)  # so the certificate's entry check passes it
+    calls = {
+        "-1.0": [
+            lambda: ext2_vanishing_certificate(P_float, vtilde(ch, p2), ch, p2),
+            lambda: phase_bound_interval(P_float, Q, V(1, 0, 0)),
+        ],
+        "1.0": [
+            lambda: ext2_vanishing_certificate(P, v_float, ch, p2),
+            lambda: simulate_destabilization_paths(P, Q, v_float, (1, 1), p2),
+            lambda: enumerate_candidate_walls(v_float, SegmentRegion(P, Q), 1, 1, p2),
+        ],
+    }
+    for entry, fns in calls.items():
+        for fn in fns:
+            with pytest.raises(PreconditionError, match=f"^entry {entry} is not a rational$"):
+                fn()
+
+
 def test_certificate_checks_projection_once(p2, monkeypatch):
     # a v that is not vtilde(ch) is refused before any branch runs
     ch = CharVec.make(-1, [1], 2)
